@@ -78,6 +78,7 @@ from .maps import (
     Orientation,
     algebra_map_from_function,
     apply,
+    apply_batch,
     build_form_map,
     evaluate_form,
     is_jordan,

@@ -48,8 +48,9 @@ class BlockAlgebra:
         return hash(self.parts)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Read the support-cell coordinates of an n x n matrix, row-major."""
-        return x[self.cell_rows, self.cell_cols]
+        """Read the support-cell coordinates of an n x n matrix (or of each
+        matrix of a stack), row-major."""
+        return x[..., self.cell_rows, self.cell_cols]
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Rebuild the n x n matrix whose support cells carry ``values``."""

@@ -58,7 +58,7 @@ class IdempotentForm:
 def _eigenvector_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a full matrix with distinct eigenvalues.
 
-    Eigenvalues come from the QR iteration; each eigenvector from a few steps
+    Eigenvalues come from ``eigenvalues``; each eigenvector from a few steps
     of inverse iteration with a deterministic probe.
     """
     n = a.shape[0]
@@ -185,10 +185,11 @@ def diagonalize_in_algebra(
 
 
 def _top_two_singular_values(r: np.ndarray) -> tuple[float, float]:
-    gram = np.conj(r.T) @ r
-    vals = np.sort(np.abs(eigenvalues(gram)))[::-1]
-    s1 = float(np.sqrt(max(vals[0], 0.0))) if vals.size else 0.0
-    s2 = float(np.sqrt(max(vals[1], 0.0))) if vals.size > 1 else 0.0
+    # singular values directly: through the eigenvalues of R^H R, rounding
+    # alone puts s2 / s1 near sqrt(eps), at the rank-one threshold
+    vals = np.linalg.svd(r, compute_uv=False)
+    s1 = float(vals[0]) if vals.size else 0.0
+    s2 = float(vals[1]) if vals.size > 1 else 0.0
     return s1, s2
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .algebra import (
     Embedding,
     block_algebra,
@@ -19,6 +21,7 @@ from .algebra import (
     parse_composition,
     project,
     embeds,
+    random_element,
 )
 from .canonical import diagonalize_in_algebra
 from .documents import (
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .gallery import GALLERY, run_gallery_suite
 from .linalg import frobenius
-from .maps import apply, evaluate_form, recover_form
+from .maps import apply_batch, evaluate_form, recover_form
 from .preservers import full_report
 
 EXIT_OK = 0
@@ -82,24 +85,15 @@ def _cmd_recover(args) -> int:
         form = recover_form(m, seed=args.seed)
     except (NotJordanEmbedding, Degenerate) as exc:
         return _fail(EXIT_NOT_JORDAN, f"recover: not a Jordan embedding: {exc}")
-    worst = 0.0
-    from .algebra import random_element  # local import keeps module load light
-
-    import numpy as np
-
     rng = np.random.default_rng(args.seed)
-    for _ in range(20):
-        x = random_element(m.domain, rng)
-        worst = max(
-            worst,
-            frobenius(apply(m, x) - evaluate_form(form, x)) / max(1.0, frobenius(x)),
-        )
+    xs = np.stack([random_element(m.domain, rng) for _ in range(20)])
+    residuals = frobenius(apply_batch(m, xs) - evaluate_form(form, xs)) / np.maximum(1.0, frobenius(xs))
     sys.stdout.write(
         canonical_json(
             {
                 "orientation": form.orientation.value,
                 "T": matrix_to_document(form.t)["entries"],
-                "residual": worst,
+                "residual": float(np.max(residuals)),
             }
         )
     )

@@ -1,11 +1,13 @@
 """Dense complex linear algebra at desk scale (n <= 16).
 
-All matrices are plain numpy arrays of complex128. The decompositions are
+All matrices are plain numpy arrays of complex128. Eigenvalues come from
+LAPACK (``numpy.linalg.eigvals``); the other decompositions are
 self-contained: Gauss-Jordan inversion with partial pivoting, the
 Faddeev-LeVerrier recursion for characteristic polynomials, Householder
-Hessenberg reduction followed by Wilkinson-shifted QR for eigenvalues and
-Schur forms, an entrywise solver for Sylvester equations with diagonal
-coefficients, and power iteration on A^H A for the spectral norm.
+Hessenberg reduction followed by Wilkinson-shifted QR for Schur forms, an
+entrywise solver for Sylvester equations with diagonal coefficients, and
+power iteration on A^H A for the spectral norm. ``eigenvalues``,
+``char_poly`` and ``frobenius`` also take (..., n, n) stacks of matrices.
 """
 
 from __future__ import annotations
@@ -48,8 +50,26 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return m
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+def as_stack(a) -> np.ndarray:
+    """Coerce to a finite complex128 array of square matrices, shape (..., n, n)."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise MismatchedDimension(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    if not np.all(np.isfinite(m)):
+        raise NotFinite("matrix contains NaN or infinite entries")
+    if m.shape[-1] != m.shape[-2]:
+        raise MismatchedDimension(f"expected square matrices, got shape {m.shape}")
+    return m
+
+
+def frobenius(a: np.ndarray):
+    """Frobenius norm of a matrix, as a float; of each matrix of a (..., n, n)
+    stack, as an array."""
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    return np.sqrt(np.sum(np.abs(flat) ** 2, axis=-1))
 
 
 def identity(n: int) -> np.ndarray:
@@ -105,21 +125,22 @@ def char_poly(a: np.ndarray) -> np.ndarray:
     """Coefficients of det(A - xI), ascending degree, length n + 1.
 
     Uses the Faddeev-LeVerrier trace recursion; the leading coefficient is
-    exactly (-1)^n.
+    exactly (-1)^n. A (..., n, n) stack gives (..., n + 1) coefficients.
     """
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1, dtype=np.complex128)
+    a = as_stack(a)
+    n = a.shape[-1]
+    eye = identity(n)
+    coeffs = np.zeros(a.shape[:-2] + (n + 1,), dtype=np.complex128)
     sign = -1.0 if n % 2 else 1.0
-    coeffs[n] = sign
-    m = a.copy()
-    c = np.complex128(-np.trace(m))
+    coeffs[..., n] = sign
+    m = a
+    c = -np.trace(m, axis1=-2, axis2=-1)
     if n >= 1:
-        coeffs[n - 1] = sign * c
+        coeffs[..., n - 1] = sign * c
     for k in range(2, n + 1):
-        m = a @ (m + c * identity(n))
-        c = -np.trace(m) / k
-        coeffs[n - k] = sign * c
+        m = a @ (m + c[..., None, None] * eye)
+        c = -np.trace(m, axis1=-2, axis2=-1) / k
+        coeffs[..., n - k] = sign * c
     return coeffs
 
 
@@ -139,10 +160,10 @@ class SchurForm:
     upper: np.ndarray
 
 
-def _hessenberg(a: np.ndarray, want_q: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     h = a.copy()
-    q = identity(n) if want_q else None
+    q = identity(n)
     for k in range(n - 2):
         x = h[k + 1 :, k].copy()
         nx = float(np.sqrt(np.sum(np.abs(x) ** 2)))
@@ -158,8 +179,7 @@ def _hessenberg(a: np.ndarray, want_q: bool) -> tuple[np.ndarray, np.ndarray | N
         beta = 2.0 / vn2
         h[k + 1 :, k:] -= beta * np.outer(v, np.conj(v) @ h[k + 1 :, k:])
         h[:, k + 1 :] -= beta * np.outer(h[:, k + 1 :] @ v, np.conj(v))
-        if q is not None:
-            q[:, k + 1 :] -= beta * np.outer(q[:, k + 1 :] @ v, np.conj(v))
+        q[:, k + 1 :] -= beta * np.outer(q[:, k + 1 :] @ v, np.conj(v))
         h[k + 2 :, k] = 0.0
     return h, q
 
@@ -178,7 +198,7 @@ def _rotate_cols(m: np.ndarray, k: int, ca: complex, cb: complex) -> None:
     m[:, k + 1] = cj
 
 
-def _qr_step(h: np.ndarray, q: np.ndarray | None, lo: int, hi: int, mu: complex) -> None:
+def _qr_step(h: np.ndarray, q: np.ndarray, lo: int, hi: int, mu: complex) -> None:
     """One explicit-shift QR sweep on the active block h[lo:hi+1, lo:hi+1]."""
     for i in range(lo, hi + 1):
         h[i, i] -= mu
@@ -196,8 +216,7 @@ def _qr_step(h: np.ndarray, q: np.ndarray | None, lo: int, hi: int, mu: complex)
     for k in range(lo, hi):
         ca, cb = rots[k - lo]
         _rotate_cols(h, k, ca, cb)
-        if q is not None:
-            _rotate_cols(q, k, ca, cb)
+        _rotate_cols(q, k, ca, cb)
     for i in range(lo, hi + 1):
         h[i, i] += mu
 
@@ -213,7 +232,7 @@ def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
     return complex(t - (r * s) / denom)
 
 
-def _triangularize_2x2(h: np.ndarray, q: np.ndarray | None, k: int) -> None:
+def _triangularize_2x2(h: np.ndarray, q: np.ndarray, k: int) -> None:
     """Annihilate the subdiagonal of the 2x2 block at (k, k) by a unitary similarity."""
     p, r = h[k, k], h[k, k + 1]
     s, t = h[k + 1, k], h[k + 1, k + 1]
@@ -232,20 +251,18 @@ def _triangularize_2x2(h: np.ndarray, q: np.ndarray | None, k: int) -> None:
     ca, cb = np.conj(w[0]), np.conj(w[1])
     _rotate_rows(h, k, ca, cb)
     _rotate_cols(h, k, ca, cb)
-    if q is not None:
-        _rotate_cols(q, k, ca, cb)
+    _rotate_cols(q, k, ca, cb)
     h[k + 1, k] = 0.0
 
 
-def _schur_decompose(a: np.ndarray, want_q: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def schur(a: np.ndarray) -> SchurForm:
+    """Unitary Schur form a = U T U^H with T upper-triangular."""
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    if n <= 1:
-        return a.copy(), identity(n) if want_q else None
     scale = frobenius(a)
-    if scale == 0.0:
-        return a.copy(), identity(n) if want_q else None
-    h, q = _hessenberg(a, want_q)
+    if n <= 1 or scale == 0.0:
+        return SchurForm(unitary=identity(n), upper=a.copy())
+    h, q = _hessenberg(a)
     tol = DEFLATION_REL * scale
     cap = SWEEP_CAP_FACTOR * n
     sweeps = 0
@@ -275,21 +292,20 @@ def _schur_decompose(a: np.ndarray, want_q: bool) -> tuple[np.ndarray, np.ndarra
         else:
             mu = _wilkinson_shift(h, hi)
         _qr_step(h, q, lo, hi, mu)
-    h = np.triu(h)
-    return h, q
+    return SchurForm(unitary=q, upper=np.triu(h))
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
-    """All n eigenvalues with multiplicity, in no particular order."""
-    t, _ = _schur_decompose(a, want_q=False)
-    return np.diag(t).copy()
+    """All n eigenvalues with multiplicity, in no particular order.
 
-
-def schur(a: np.ndarray) -> SchurForm:
-    """Unitary Schur form a = U T U^H with T upper-triangular."""
-    t, u = _schur_decompose(a, want_q=True)
-    assert u is not None
-    return SchurForm(unitary=u, upper=t)
+    A (..., n, n) stack gives (..., n) eigenvalues. LAPACK's failure to
+    converge raises NoConvergence.
+    """
+    a = as_stack(a)
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def solve_sylvester_diagonal(d1, d2, c: np.ndarray) -> np.ndarray:

@@ -6,13 +6,20 @@ row-major embedding, so the codomain is all of M_n. The two model maps are
 X -> T X T^{-1} and X -> T X^t T^{-1}; ``recover_form`` reconstructs the
 orientation and a canonical T from any map that actually is of one of these
 forms, and rejects everything else.
+
+Probes are evaluated as stacks: ``apply_batch`` maps a (k, n, n) stack with
+one product, ``probe_chunks`` streams a probe sequence in stacks of at most
+PROBE_CHUNK matrices, and ``unit_pair_residuals`` makes one pass over the
+products of all matrix-unit images, shared by ``is_jordan`` and the
+commutativity checker.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -20,13 +27,13 @@ from .algebra import (
     BlockAlgebra,
     block_algebra,
     flip_algebra,
-    membership,
     random_element,
 )
 from .errors import (
     Degenerate,
     IllConditioned,
     MismatchedDimension,
+    NotFinite,
     NotJordanEmbedding,
     Singular,
     WrongAlgebra,
@@ -37,6 +44,7 @@ RECOVERY_SEED = 0x1D4A
 VERIFY_SAMPLES = 50
 VERIFY_REL = 1e-7
 OFF_CELL_REL = 1e-8
+PROBE_CHUNK = 32  # matrices per stacked evaluation; bounds every probe loop's memory
 
 
 class Orientation(enum.Enum):
@@ -63,13 +71,14 @@ class AlgebraMap:
     domain: BlockAlgebra
     coefficients: np.ndarray
 
-    @property
-    def codomain_dim(self) -> int:
-        return self.domain.n
-
     def unit_image(self, cell_index: int) -> np.ndarray:
         n = self.domain.n
         return self.coefficients[:, cell_index].reshape(n, n)
+
+    def unit_images(self) -> np.ndarray:
+        """The (d, n, n) stack of the images of all matrix units, in cell order."""
+        n = self.domain.n
+        return np.ascontiguousarray(self.coefficients.T).reshape(-1, n, n)
 
 
 def algebra_map_from_function(algebra, fn: Callable[[np.ndarray], np.ndarray]) -> AlgebraMap:
@@ -101,24 +110,123 @@ def build_form_map(algebra, form: JordanForm) -> AlgebraMap:
     return AlgebraMap(domain=algebra, coefficients=coeffs)
 
 
+def apply_batch(m: AlgebraMap, xs: np.ndarray) -> np.ndarray:
+    """Evaluate the map on a (k, n, n) stack of members of its domain.
+
+    Every matrix must be finite, n x n and supported in the domain up to
+    1e-8 * max(1, ||x||_F); the images come from one (k, d) @ (d, n^2) product.
+    """
+    xs = np.asarray(xs, dtype=np.complex128)
+    n = m.domain.n
+    if xs.ndim != 3:
+        raise MismatchedDimension(f"expected a (k, n, n) stack, got ndim={xs.ndim}")
+    if not np.all(np.isfinite(xs)):
+        raise NotFinite("matrix contains NaN or infinite entries")
+    if xs.shape[1:] != (n, n):
+        raise WrongAlgebra(f"expected {n} x {n}, got {xs.shape[1:]}")
+    off = np.abs(xs[:, ~m.domain.support])
+    if off.size and np.any(np.max(off, axis=1) > 1e-8 * np.maximum(1.0, frobenius(xs))):
+        raise WrongAlgebra("matrix is not supported in the map's domain")
+    return (m.domain.coords(xs) @ m.coefficients.T).reshape(-1, n, n)
+
+
 def apply(m: AlgebraMap, x: np.ndarray) -> np.ndarray:
     """Evaluate the map on a member of its domain."""
-    x = as_matrix(x)
-    n = m.domain.n
-    if x.shape != (n, n):
-        raise WrongAlgebra(f"expected {n} x {n}, got {x.shape}")
-    if not membership(m.domain, x, tol=1e-8 * max(1.0, frobenius(x))):
-        raise WrongAlgebra("matrix is not supported in the map's domain")
-    return (m.coefficients @ m.domain.coords(x)).reshape(n, n)
+    return apply_batch(m, as_matrix(x)[None])[0]
+
+
+def _form_image(orientation: Orientation, t: np.ndarray, tinv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if orientation is Orientation.ANTI_TRANSPOSE:
+        x = np.swapaxes(x, -1, -2)
+    return t @ x @ tinv
 
 
 def evaluate_form(form: JordanForm, x: np.ndarray) -> np.ndarray:
-    """Evaluate the form directly by conjugation (independent of AlgebraMap)."""
-    t = form.t
-    tinv = inverse(t)
-    if form.orientation is Orientation.INNER:
-        return t @ x @ tinv
-    return t @ x.T @ tinv
+    """Evaluate the form directly by conjugation (independent of AlgebraMap),
+    on a matrix or on a (k, n, n) stack."""
+    return _form_image(form.orientation, form.t, inverse(form.t), x)
+
+
+def probe_chunks(probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Stack a sequence of equal-shape probes in order, PROBE_CHUNK at a time.
+
+    Probes are drawn lazily, so a seeded generator feeding them is consumed
+    in exactly the order of a one-by-one loop.
+    """
+    it = iter(probes)
+    while chunk := list(itertools.islice(it, PROBE_CHUNK)):
+        yield np.stack(chunk)
+
+
+class Tally:
+    """Worst residual and the first four violations of a streamed check.
+
+    A residual violates unless it is <= tol, so NaN is a violation; a
+    non-finite residual makes the worst inf.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.ok = True
+        self.worst = 0.0
+        self.witnesses: list = []
+
+    def add(self, res: np.ndarray, witness: Callable[[int], object] | None = None) -> None:
+        if res.size == 0:
+            return
+        self.worst = max(self.worst, float(np.max(res)) if np.all(np.isfinite(res)) else np.inf)
+        bad = np.flatnonzero(~(res <= self.tol))
+        if bad.size:
+            self.ok = False
+            room = 4 - len(self.witnesses)
+            if witness is not None and room > 0:
+                self.witnesses.extend(witness(int(i)) for i in bad[:room])
+
+
+class UnitPairs(NamedTuple):
+    """Residuals of every matrix-unit pair (E_p, E_q), q >= p, in row-major
+    (p, q) order."""
+
+    p: np.ndarray
+    q: np.ndarray
+    commuting: np.ndarray  # E_p and E_q commute
+    jordan: np.ndarray  # max |phi(E_p) o phi(E_q) - phi(E_p o E_q)| / max(1, |phi(E_p)| |phi(E_q)|)
+    commutator: np.ndarray  # ||[phi(E_p), phi(E_q)]||_F / max(1, |phi(E_p)| |phi(E_q)|)
+
+
+def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
+    """One pass over the products of all unit images, both orders.
+
+    ``images`` is the (d, n, n) stack of phi(E_p). For each unit p the image
+    is multiplied by every phi(E_q), q >= p, in chunks of PROBE_CHUNK; the
+    same products give the symmetric-product (Jordan) residual against
+    phi(E_p E_q + E_q E_p) and the commutator. o denotes a b + b a.
+    """
+    d, n = algebra.dim, algebra.n
+    rows, cols = algebra.cell_rows, algebra.cell_cols
+    p, q = np.triu_indices(d)
+    index = np.full((n, n), -1)
+    index[rows, cols] = np.arange(d)
+    # E_p E_q = E_il when j == k, E_q E_p = E_kj when l == i; -1 marks a zero
+    left = np.where(cols[p] == rows[q], index[rows[p], cols[q]], -1)
+    right = np.where(cols[q] == rows[p], index[rows[q], cols[p]], -1)
+    padded = np.concatenate([images, np.zeros((1, n, n), dtype=images.dtype)])
+    norms = frobenius(images)
+    jordan = np.empty(p.size)
+    commutator = np.empty(p.size)
+    start = 0
+    for u in range(d):
+        for lo in range(u, d, PROBE_CHUNK):
+            hi = min(lo + PROBE_CHUNK, d)
+            sl = slice(start, start + hi - lo)
+            start += hi - lo
+            ab = images[u] @ images[lo:hi]
+            ba = images[lo:hi] @ images[u]
+            scale = np.maximum(1.0, norms[u] * norms[lo:hi])
+            expected = padded[left[sl]] + padded[right[sl]]
+            jordan[sl] = np.max(np.abs(ab + ba - expected), axis=(1, 2)) / scale
+            commutator[sl] = frobenius(ab - ba) / scale
+    return UnitPairs(p=p, q=q, commuting=left == right, jordan=jordan, commutator=commutator)
 
 
 class JordanCheck(NamedTuple):
@@ -126,43 +234,18 @@ class JordanCheck(NamedTuple):
     worst_residual: float
 
 
-def _sym(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> JordanCheck:
-    """Check the square identity on random elements and the symmetric-product
-    identity exhaustively on matrix-unit pairs."""
+    """Check the symmetric-product identity exhaustively on matrix-unit pairs
+    and the square identity on random elements."""
     alg = m.domain
-    n = alg.n
-    images = [m.unit_image(k) for k in range(alg.dim)]
-    cell_index = {cell: k for k, cell in enumerate(alg.cells)}
-    worst = 0.0
-    ok = True
-    for p, (i, j) in enumerate(alg.cells):
-        for q in range(p, alg.dim):
-            k, l = alg.cells[q]
-            expected = np.zeros((n * n,), dtype=np.complex128)
-            if j == k:
-                expected = expected + m.coefficients[:, cell_index[(i, l)]]
-            if l == i:
-                expected = expected + m.coefficients[:, cell_index[(k, j)]]
-            got = _sym(images[p], images[q]).reshape(-1)
-            scale = max(1.0, frobenius(images[p]) * frobenius(images[q]))
-            res = float(np.max(np.abs(got - expected))) / scale
-            worst = max(worst, res)
-            if res > tol:
-                ok = False
+    tally = Tally(tol)
+    tally.add(unit_pair_residuals(alg, m.unit_images()).jordan)
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        x = random_element(alg, rng)
-        fx = apply(m, x)
-        fx2 = apply(m, x @ x)
-        res = frobenius(fx2 - fx @ fx) / max(1.0, frobenius(x) ** 2)
-        worst = max(worst, res)
-        if res > tol:
-            ok = False
-    return JordanCheck(ok=ok, worst_residual=worst)
+    for xs in probe_chunks(random_element(alg, rng) for _ in range(samples)):
+        fx = apply_batch(m, xs)
+        res = frobenius(apply_batch(m, xs @ xs) - fx @ fx) / np.maximum(1.0, frobenius(xs) ** 2)
+        tally.add(res)
+    return JordanCheck(ok=tally.ok, worst_residual=tally.worst)
 
 
 def orientation_feasible(algebra, orientation: Orientation, codomain=None) -> bool:
@@ -180,10 +263,6 @@ def orientation_feasible(algebra, orientation: Orientation, codomain=None) -> bo
         raise MismatchedDimension("algebra and codomain sizes differ")
     source = algebra if orientation is Orientation.INNER else flip_algebra(algebra)
     return not np.any(source.support & ~codomain.support)
-
-
-def _structural_fail(reason: str) -> NotJordanEmbedding:
-    return NotJordanEmbedding(reason)
 
 
 def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
@@ -209,19 +288,19 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
     total = np.zeros((n, n), dtype=np.complex128)
     for i, p in enumerate(proj):
         if frobenius(p @ p - p) > tol_struct * max(1.0, frobenius(p) ** 2):
-            raise _structural_fail(f"image of diagonal unit {i} is not idempotent")
+            raise NotJordanEmbedding(f"image of diagonal unit {i} is not idempotent")
         if abs(np.trace(p) - 1.0) > tol_struct:
-            raise _structural_fail(f"image of diagonal unit {i} is not rank one")
+            raise NotJordanEmbedding(f"image of diagonal unit {i} is not rank one")
         total += p
     if frobenius(total - identity(n)) > tol_struct * n:
-        raise _structural_fail("diagonal-unit images do not sum to the identity")
+        raise NotJordanEmbedding("diagonal-unit images do not sum to the identity")
     for i in range(n):
         for j in range(i + 1, n):
             if (
                 frobenius(proj[i] @ proj[j]) > tol_struct
                 or frobenius(proj[j] @ proj[i]) > tol_struct
             ):
-                raise _structural_fail(f"images of units {i} and {j} are not orthogonal")
+                raise NotJordanEmbedding(f"images of units {i} and {j} are not orthogonal")
 
     # (2) assemble S from the ranges of the idempotents via a random probe
     rng = np.random.default_rng(seed)
@@ -238,7 +317,7 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
     try:
         sinv = inverse(s)
     except (Singular, IllConditioned) as exc:
-        raise _structural_fail(f"assembled similarity is not invertible: {exc}") from exc
+        raise NotJordanEmbedding(f"assembled similarity is not invertible: {exc}") from exc
 
     # (3) classify: every conjugated unit image must sit on one cell
     votes_inner = 0
@@ -249,7 +328,7 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
         conjugated[(i, j)] = md
         total_mass = frobenius(md)
         if total_mass <= 1e-10 * overall:
-            raise _structural_fail(f"image of unit {(i, j)} vanishes")
+            raise NotJordanEmbedding(f"image of unit {(i, j)} vanishes")
         if i == j:
             continue
         rest = md.copy()
@@ -263,9 +342,9 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
         elif anti_off <= OFF_CELL_REL * total_mass:
             votes_anti += 1
         else:
-            raise _structural_fail(f"image of unit {(i, j)} is not cell-concentrated")
+            raise NotJordanEmbedding(f"image of unit {(i, j)} is not cell-concentrated")
     if votes_inner and votes_anti:
-        raise _structural_fail("mixed orientations across matrix units")
+        raise NotJordanEmbedding("mixed orientations across matrix units")
     orientation = Orientation.ANTI_TRANSPOSE if votes_anti else Orientation.INNER
 
     # (4) diagonal rescaling anchored at the first row (E_0j always exists)
@@ -287,12 +366,10 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
     try:
         tinv = inverse(t)
     except (Singular, IllConditioned) as exc:
-        raise _structural_fail(f"recovered similarity is not invertible: {exc}") from exc
+        raise NotJordanEmbedding(f"recovered similarity is not invertible: {exc}") from exc
     cond = spectral_norm(t) * spectral_norm(tinv)
-    for _ in range(VERIFY_SAMPLES):
-        x = random_element(alg, rng)
-        direct = t @ x @ tinv if orientation is Orientation.INNER else t @ x.T @ tinv
-        res = frobenius(apply(m, x) - direct)
-        if res > VERIFY_REL * max(frobenius(x), 1e-300) * cond**2:
-            raise _structural_fail("verification residual exceeds tolerance")
+    for xs in probe_chunks(random_element(alg, rng) for _ in range(VERIFY_SAMPLES)):
+        res = frobenius(apply_batch(m, xs) - _form_image(orientation, t, tinv, xs))
+        if np.any(~(res <= VERIFY_REL * np.maximum(frobenius(xs), 1e-300) * cond**2)):
+            raise NotJordanEmbedding("verification residual exceeds tolerance")
     return JordanForm(orientation=orientation, t=t)
