@@ -70,10 +70,7 @@ def block_algebra(spec) -> BlockAlgebra:
         if not parts or any(k < 1 for k in parts):
             raise ValueError(f"composition parts must be positive: {parts}")
     n = sum(parts)
-    cuts = np.cumsum((0,) + parts)
-    block_of = np.empty(n, dtype=np.intp)
-    for b in range(len(parts)):
-        block_of[cuts[b] : cuts[b + 1]] = b
+    block_of = np.repeat(np.arange(len(parts)), parts)
     support = block_of[:, None] <= block_of[None, :]
     support.flags.writeable = False
     rows, cols = np.nonzero(support)
@@ -129,12 +126,9 @@ def flip_algebra(algebra: BlockAlgebra) -> BlockAlgebra:
 
 def matrix_units(algebra: BlockAlgebra) -> list[np.ndarray]:
     """One standard matrix unit per support cell, in row-major cell order."""
-    units = []
-    for i, j in algebra.cells:
-        e = np.zeros((algebra.n, algebra.n), dtype=np.complex128)
-        e[i, j] = 1.0
-        units.append(e)
-    return units
+    units = np.zeros((algebra.dim, algebra.n, algebra.n), dtype=np.complex128)
+    units[np.arange(algebra.dim), algebra.cell_rows, algebra.cell_cols] = 1.0
+    return list(units)
 
 
 class Embedding(enum.Enum):

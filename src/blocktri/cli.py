@@ -3,7 +3,8 @@
 Subcommands: embed-check, recover, verify, diagonalize, gallery. Reports go
 to stdout as canonical JSON (or short text), diagnostics to stderr. Exit
 codes are a stable contract: 0 success, 2 input error, 3 no embedding,
-4 not a Jordan embedding, 5 repeated eigenvalues, 6 not in algebra.
+4 not a Jordan embedding, 5 repeated eigenvalues, 6 not in algebra. Any
+library error without a code of its own, a bad document included, exits 2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .documents import (
 from .errors import (
     BlockTriError,
     Degenerate,
-    InvalidDocument,
     MismatchedDimension,
     NotJordanEmbedding,
     RepeatedEigenvalues,
@@ -77,10 +77,7 @@ def _cmd_embed_check(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    try:
-        m = map_from_document(load_json(args.map_file))
-    except InvalidDocument as exc:
-        return _fail(EXIT_INPUT, f"recover: {exc}")
+    m = map_from_document(load_json(args.map_file))
     try:
         form = recover_form(m, seed=args.seed)
     except (NotJordanEmbedding, Degenerate) as exc:
@@ -101,10 +98,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        m = map_from_document(load_json(args.map_file))
-    except InvalidDocument as exc:
-        return _fail(EXIT_INPUT, f"verify: {exc}")
+    m = map_from_document(load_json(args.map_file))
     report = full_report(m, budget=args.budget, seed=args.seed, tol=args.tol)
     sys.stdout.write(
         canonical_json(
@@ -125,7 +119,7 @@ def _cmd_diagonalize(args) -> int:
     try:
         algebra = block_algebra(parse_composition(args.algebra))
         matrix = matrix_from_document(load_json(args.matrix_file))
-    except (ValueError, InvalidDocument) as exc:
+    except ValueError as exc:
         return _fail(EXIT_INPUT, f"diagonalize: {exc}")
     try:
         if matrix.shape != (algebra.n, algebra.n) or not membership(
@@ -140,8 +134,6 @@ def _cmd_diagonalize(args) -> int:
         return _fail(EXIT_REPEATED_EIGENVALUES, f"diagonalize: {exc}")
     except WrongAlgebra as exc:
         return _fail(EXIT_NOT_IN_ALGEBRA, f"diagonalize: {exc}")
-    except BlockTriError as exc:
-        return _fail(EXIT_INPUT, f"diagonalize: {exc}")
     sys.stdout.write(
         canonical_json(
             {
@@ -208,7 +200,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed a diagnostic; normalize its exit code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BlockTriError as exc:  # any other library error is an input error
+        return _fail(EXIT_INPUT, f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":

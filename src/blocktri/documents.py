@@ -9,7 +9,9 @@ separators) so outputs are byte-stable.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import numpy as np
 
@@ -18,8 +20,8 @@ from .errors import InvalidDocument
 from .maps import AlgebraMap
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(m: np.ndarray) -> list:
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _from_pair(obj) -> complex:
@@ -29,16 +31,53 @@ def _from_pair(obj) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
     ):
         raise InvalidDocument(f"expected an [re, im] pair, got {obj!r}")
-    z = complex(float(obj[0]), float(obj[1]))
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise InvalidDocument("entries must be finite")
+    try:
+        z = complex(float(obj[0]), float(obj[1]))
+    except OverflowError:  # an integer beyond the float range
+        z = complex(math.inf)
+    _check_finite(z)
     return z
+
+
+def _check_finite(values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise InvalidDocument("entries must be finite")
+
+
+def _numbers_only(row: list) -> bool:
+    """Whether every pair of the row is a list or tuple of ints and floats (no bools)."""
+    return all(issubclass(t, (list, tuple)) for t in set(map(type, row))) and all(
+        issubclass(t, (int, float)) and not issubclass(t, bool)
+        for t in set(map(type, itertools.chain.from_iterable(row)))
+    )
+
+
+def _grid_from_document(rows: list, cols: int, row_error: str) -> np.ndarray:
+    """Decode rows of ``cols`` [re, im] pairs into a complex array, row by row.
+
+    A row of number pairs is copied in one step; the view keeps the sign of a
+    zero imaginary part, which re + 1j * im loses. Any other row is decoded
+    pair by pair, so errors are those of a pair-by-pair decode in row-major order.
+    """
+    out = np.empty((len(rows), cols), dtype=np.complex128)
+    for r, row in enumerate(rows):
+        if isinstance(row, list) and len(row) == cols and _numbers_only(row):
+            try:  # ValueError: pairs of another length; OverflowError: huge integers
+                out[r] = np.array(row, np.float64).reshape(cols, 2).view(np.complex128)[:, 0]
+                continue
+            except (ValueError, OverflowError):
+                pass
+        _check_finite(out[:r])
+        if not isinstance(row, list) or len(row) != cols:
+            raise InvalidDocument(row_error)
+        out[r] = [_from_pair(pair) for pair in row]
+    _check_finite(out)
+    return out
 
 
 def matrix_to_document(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
-    n = m.shape[0]
-    return {"n": n, "entries": [[_pair(m[i, j]) for j in range(n)] for i in range(n)]}
+    return {"n": m.shape[0], "entries": _pairs(m)}
 
 
 def matrix_from_document(doc) -> np.ndarray:
@@ -50,22 +89,13 @@ def matrix_from_document(doc) -> np.ndarray:
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise InvalidDocument("entries do not form an n x n grid")
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != n:
-            raise InvalidDocument("entries do not form an n x n grid")
-        for j, pair in enumerate(row):
-            out[i, j] = _from_pair(pair)
-    return out
+    return _grid_from_document(entries, n, "entries do not form an n x n grid")
 
 
 def map_to_document(m: AlgebraMap) -> dict:
-    rows, cols = m.coefficients.shape
     return {
         "algebra": ",".join(str(k) for k in m.domain.parts),
-        "coefficients": [
-            [_pair(m.coefficients[r, c]) for c in range(cols)] for r in range(rows)
-        ],
+        "coefficients": _pairs(m.coefficients),
     }
 
 
@@ -81,38 +111,33 @@ def map_from_document(doc) -> AlgebraMap:
     n2, d = algebra.n**2, algebra.dim
     if not isinstance(rows, list) or len(rows) != n2:
         raise InvalidDocument(f"coefficients must have {n2} rows")
-    coeffs = np.zeros((n2, d), dtype=np.complex128)
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != d:
-            raise InvalidDocument(f"coefficient rows must have {d} columns")
-        for c, pair in enumerate(row):
-            coeffs[r, c] = _from_pair(pair)
+    coeffs = _grid_from_document(rows, d, f"coefficient rows must have {d} columns")
     return AlgebraMap(domain=algebra, coefficients=coeffs)
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False) + "\n"
 
 
 def _plain(obj):
-    """Coerce numpy scalars/arrays and complex values into JSON-safe types."""
+    """Coerce numpy scalars/arrays and complex values into JSON-safe types; a
+    non-finite float becomes the string "Infinity", "-Infinity" or "NaN"."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and np.iscomplexobj(obj):
-            return matrix_to_document(obj)["entries"]
-        return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        x = float(obj)
+        return x if math.isfinite(x) else json.dumps(x)  # "Infinity", "-Infinity", "NaN"
     if isinstance(obj, (complex, np.complexfloating)):
-        return _pair(complex(obj))
+        return _plain([obj.real, obj.imag])
     return obj
 
 

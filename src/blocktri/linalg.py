@@ -1,13 +1,14 @@
 """Dense complex linear algebra at desk scale (n <= 16).
 
-All matrices are plain numpy arrays of complex128. Eigenvalues come from
-LAPACK (``numpy.linalg.eigvals``); the other decompositions are
-self-contained: Gauss-Jordan inversion with partial pivoting, the
+All matrices are plain numpy arrays of complex128. Eigenvalues, singular
+values and well-conditioned inverses come from LAPACK (``numpy.linalg``);
+the rest is self-contained: Gauss-Jordan inversion with partial pivoting
+(the fallback that decides Singular and IllConditioned), the
 Faddeev-LeVerrier recursion for characteristic polynomials, Householder
-Hessenberg reduction followed by Wilkinson-shifted QR for Schur forms, an
-entrywise solver for Sylvester equations with diagonal coefficients, and
-power iteration on A^H A for the spectral norm. ``eigenvalues``,
-``char_poly`` and ``frobenius`` also take (..., n, n) stacks of matrices.
+Hessenberg reduction followed by Wilkinson-shifted QR for Schur forms, and
+an entrywise solver for Sylvester equations with diagonal coefficients.
+``eigenvalues``, ``char_poly`` and ``frobenius`` also take (..., n, n)
+stacks of matrices.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise MismatchedDimension(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NotFinite("matrix contains NaN or infinite entries")
     if square and m.shape[0] != m.shape[1]:
         raise MismatchedDimension(f"expected a square matrix, got shape {m.shape}")
@@ -55,7 +56,7 @@ def as_stack(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2:
         raise MismatchedDimension(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NotFinite("matrix contains NaN or infinite entries")
     if m.shape[-1] != m.shape[-2]:
         raise MismatchedDimension(f"expected square matrices, got shape {m.shape}")
@@ -86,15 +87,28 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Invert via Gauss-Jordan elimination with partial pivoting.
+    """Invert a square matrix.
 
-    Raises Singular when a pivot falls below 1e-12 * max|a|, and
-    IllConditioned when the 1-norm condition estimate exceeds 1e12.
+    Raises Singular when a Gauss-Jordan pivot (partial pivoting) falls below
+    1e-12 * max|a|, and IllConditioned when the 1-norm condition estimate
+    exceeds 1e12. LAPACK's inverse is returned when n * cond_1 < 1e12, where
+    1/|u_kk| <= ||U^-1||_1 <= n ||A^-1||_1 keeps every pivot off the threshold;
+    every other case runs the Gauss-Jordan elimination.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    if n == 0:
-        return a.copy()
+    try:
+        inv = np.linalg.inv(a)
+        if n == 0 or n * _norm1(a) * _norm1(inv) < CONDITION_BOUND:  # False on inf and NaN
+            return inv
+    except np.linalg.LinAlgError:
+        pass
+    return _gauss_jordan(a)
+
+
+def _gauss_jordan(a: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inversion of a nonempty matrix, raising as ``inverse`` does."""
+    n = a.shape[0]
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         raise Singular("zero matrix")
@@ -118,7 +132,7 @@ def inverse(a: np.ndarray) -> np.ndarray:
 
 
 def _norm1(a: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(a), axis=0)))
+    return float(np.abs(a).sum(axis=0).max())
 
 
 def char_poly(a: np.ndarray) -> np.ndarray:
@@ -332,47 +346,19 @@ def solve_sylvester_diagonal(d1, d2, c: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray, *, return_info: bool = False):
-    """Largest singular value via power iteration on A^H A.
+    """Largest singular value, from LAPACK's singular values.
 
-    With return_info=True, returns (value, converged); a capped iteration
-    falls back to the best iterate with converged=False.
+    With return_info=True, returns (value, True); LAPACK's failure to
+    converge raises NoConvergence.
     """
     a = as_matrix(a)
-    if a.size == 0 or not np.any(a):
-        return (0.0, True) if return_info else 0.0
-    if a.shape[0] < a.shape[1]:
-        a = np.conj(a.T)
-    gram = np.conj(a.T) @ a
-    m = gram.shape[0]
-    # deterministic dense start: golden-angle phases avoid rational symmetries
-    v = np.exp(2.39996322972865332j * np.arange(m)) / math.sqrt(m)
-    sigma = 0.0
-    stable = 0
-    converged = False
-    restarts = 0
-    for _ in range(10_000):
-        w = gram @ v
-        lam = float(np.real(np.vdot(v, w)))
-        new_sigma = math.sqrt(max(lam, 0.0))
-        if abs(new_sigma - sigma) <= 1e-11 * max(new_sigma, 1e-290):
-            stable += 1
-            if stable >= 2:
-                sigma = new_sigma
-                converged = True
-                break
-        else:
-            stable = 0
-        sigma = new_sigma
-        nw = float(np.sqrt(np.sum(np.abs(w) ** 2)))
-        if nw == 0.0:
-            # iterate fell in the null space; restart from a basis direction
-            v = np.zeros(m, dtype=np.complex128)
-            v[restarts % m] = 1.0
-            restarts += 1
-            continue
-        v = w / nw
-    result = float(sigma)
-    return (result, converged) if return_info else result
+    value = 0.0
+    if a.size:
+        try:
+            value = float(np.linalg.svd(a, compute_uv=False)[0])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"singular value iteration did not converge: {exc}") from exc
+    return (value, True) if return_info else value
 
 
 def _solve_with_pivot_floor(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

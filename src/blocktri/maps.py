@@ -27,6 +27,7 @@ from .algebra import (
     BlockAlgebra,
     block_algebra,
     flip_algebra,
+    matrix_units,
     random_element,
 )
 from .errors import (
@@ -84,11 +85,8 @@ class AlgebraMap:
 def algebra_map_from_function(algebra, fn: Callable[[np.ndarray], np.ndarray]) -> AlgebraMap:
     """Materialize a linear map by evaluating it on every matrix unit."""
     algebra = block_algebra(algebra)
-    n = algebra.n
-    coeffs = np.zeros((n * n, algebra.dim), dtype=np.complex128)
-    for idx, (i, j) in enumerate(algebra.cells):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, j] = 1.0
+    coeffs = np.zeros((algebra.n**2, algebra.dim), dtype=np.complex128)
+    for idx, e in enumerate(matrix_units(algebra)):
         coeffs[:, idx] = as_matrix(fn(e)).reshape(-1)
     return AlgebraMap(domain=algebra, coefficients=coeffs)
 
@@ -99,15 +97,12 @@ def build_form_map(algebra, form: JordanForm) -> AlgebraMap:
     t = as_matrix(form.t, square=True)
     if t.shape != (algebra.n, algebra.n):
         raise MismatchedDimension("similarity size does not match the algebra")
-    tinv = inverse(t)
-    coeffs = np.zeros((algebra.n**2, algebra.dim), dtype=np.complex128)
-    for idx, (i, j) in enumerate(algebra.cells):
-        if form.orientation is Orientation.INNER:
-            img = np.outer(t[:, i], tinv[j, :])
-        else:
-            img = np.outer(t[:, j], tinv[i, :])
-        coeffs[:, idx] = img.reshape(-1)
-    return AlgebraMap(domain=algebra, coefficients=coeffs)
+    rows, cols = algebra.cell_rows, algebra.cell_cols
+    if form.orientation is Orientation.ANTI_TRANSPOSE:
+        rows, cols = cols, rows
+    # the image of E_ij is the outer product of column i of T and row j of T^{-1}
+    coeffs = t[:, None, rows] * inverse(t)[cols, :].T[None, :, :]
+    return AlgebraMap(domain=algebra, coefficients=coeffs.reshape(algebra.n**2, algebra.dim))
 
 
 def apply_batch(m: AlgebraMap, xs: np.ndarray) -> np.ndarray:
@@ -194,6 +189,7 @@ class UnitPairs(NamedTuple):
     commutator: np.ndarray  # ||[phi(E_p), phi(E_q)]||_F / max(1, |phi(E_p)| |phi(E_q)|)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     """One pass over the products of all unit images, both orders.
 
@@ -234,6 +230,7 @@ class JordanCheck(NamedTuple):
     worst_residual: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> JordanCheck:
     """Check the symmetric-product identity exhaustively on matrix-unit pairs
     and the square identity on random elements."""
@@ -265,6 +262,7 @@ def orientation_feasible(algebra, orientation: Orientation, codomain=None) -> bo
     return not np.any(source.support & ~codomain.support)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
     """Recover (orientation, T) from a map of the form X -> T X T^{-1} or
     X -> T X^t T^{-1}.
@@ -294,13 +292,11 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
         total += p
     if frobenius(total - identity(n)) > tol_struct * n:
         raise NotJordanEmbedding("diagonal-unit images do not sum to the identity")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (
-                frobenius(proj[i] @ proj[j]) > tol_struct
-                or frobenius(proj[j] @ proj[i]) > tol_struct
-            ):
-                raise NotJordanEmbedding(f"images of units {i} and {j} are not orthogonal")
+    stacked = np.stack(proj)
+    cross = frobenius(stacked[:, None] @ stacked[None, :])  # ||P_i P_j||_F for all i, j
+    bad = np.argwhere(np.triu((cross > tol_struct) | (cross.T > tol_struct), 1))
+    if bad.size:
+        raise NotJordanEmbedding(f"images of units {bad[0, 0]} and {bad[0, 1]} are not orthogonal")
 
     # (2) assemble S from the ranges of the idempotents via a random probe
     rng = np.random.default_rng(seed)

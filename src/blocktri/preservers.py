@@ -66,6 +66,7 @@ def _probe_elements(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.nda
         yield random_element(algebra, rng)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check(probes, residuals, tol: float) -> CheckResult:
     """Stream probes through a stacked residual function; the first four
     violating probes are the witnesses."""
@@ -78,13 +79,14 @@ def _check(probes, residuals, tol: float) -> CheckResult:
 def check_char_poly_preserving(
     m, algebra=None, *, samples: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
-    """Compare char polys of A and of its image, coefficientwise."""
+    """Compare char polys coefficientwise, the x^k one scaled by max(1, ||A||_F)^(n-k)."""
     alg, fn = _as_evaluator(m, algebra)
     rng = np.random.default_rng(seed)
 
     def residuals(a):
         diff = char_poly(fn(a)) - char_poly(a)
-        return np.max(np.abs(diff), axis=-1) / np.maximum(1.0, frobenius(a) ** alg.n)
+        scale = np.maximum(1.0, frobenius(a))[:, None] ** (alg.n - np.arange(alg.n + 1))
+        return np.max(np.abs(diff) / scale, axis=-1)
 
     return _check(_probe_elements(alg, samples, rng), residuals, tol)
 
@@ -123,6 +125,7 @@ def check_commutativity_preserving(
     tally = Tally(tol)
     tally.add(unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]]))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def residuals(ab):
         fa, fb = fn(ab[:, 0]), fn(ab[:, 1])
         return frobenius(fa @ fb - fb @ fa) / np.maximum(1.0, frobenius(fa) * frobenius(fb))

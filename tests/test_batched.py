@@ -6,6 +6,7 @@ code must reach the same verdicts and witnesses from the same seeds.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -373,9 +374,19 @@ class TestNonFinite:
         path.write_text(canonical_json(map_to_document(overflowing_map)), encoding="utf-8")
         with np.errstate(all="ignore"):
             assert main(["verify", str(path), "--budget", "10"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        data = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # strict JSON
         assert data["commutativity_preserving"] is False
-        assert data["worst_violation"] == np.inf
+        assert data["worst_violation"] == "Infinity"
+
+    def test_no_warnings(self, overflowing_map, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(canonical_json(map_to_document(overflowing_map)), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_jordan(overflowing_map).ok
+            assert full_report(overflowing_map, budget=10).worst_violation == np.inf
+            assert main(["verify", str(path), "--budget", "10"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # --- report and rank test -------------------------------------------------------

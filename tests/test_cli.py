@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from blocktri import (
+    AlgebraMap,
     InvalidDocument,
+    NotFinite,
     JordanForm,
     Orientation,
     algebra_map_from_function,
@@ -60,6 +62,127 @@ class TestDocuments:
         bad = {"algebra": "1,1", "coefficients": [[[0.0, 0.0]] * 2 for _ in range(4)]}
         with pytest.raises(InvalidDocument):
             map_from_document(bad)
+
+
+def reference_grid(rows, cols, row_error):
+    """The pair-by-pair decoder that the row-wise one replaced. An integer
+    beyond the float range reads as non-finite here; the old decoder let its
+    OverflowError escape."""
+    out = np.zeros((len(rows), cols), dtype=np.complex128)
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != cols:
+            raise InvalidDocument(row_error)
+        for c, obj in enumerate(row):
+            if (
+                not isinstance(obj, (list, tuple))
+                or len(obj) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
+            ):
+                raise InvalidDocument(f"expected an [re, im] pair, got {obj!r}")
+            try:
+                z = complex(float(obj[0]), float(obj[1]))
+            except OverflowError:
+                z = complex(np.inf)
+            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+                raise InvalidDocument("entries must be finite")
+            out[r, c] = z
+    return out
+
+
+def decode_outcome(fn, *args):
+    """Decoded bytes (so that -0.0 differs from 0.0), or the rejection message."""
+    try:
+        return fn(*args).tobytes()
+    except InvalidDocument as exc:
+        return f"InvalidDocument: {exc}"
+
+
+def valid_rows(rng, rows, cols):
+    """[re, im] rows mixing floats, ints, signed zeros, np.float64 and tuples."""
+    grid = [[[float(x), float(y)] for x, y in rng.standard_normal((cols, 2))] for _ in range(rows)]
+    grid[0][0] = [0.0, -0.0]
+    grid[0][-1] = [-0.0, 0.0]
+    grid[-1][0] = [3, -2]
+    grid[-1][-1] = (np.float64(0.5), -0.0)
+    grid[rows // 2][cols // 2] = [2**70, 1e-310]
+    return grid
+
+
+BAD_ENTRIES = [
+    True,
+    [True, 0.0],
+    [0.0, False],
+    ["1", 0.0],
+    [None, 0.0],
+    None,
+    1.5,
+    "ab",
+    [1.0, 2.0, 3.0],
+    [1.0],
+    [],
+    {"re": 1.0, "im": 0.0},
+    [np.int64(1), 0.0],
+    np.array([1.0, 0.0]),
+    [float("inf"), 0.0],
+    [0.0, float("nan")],
+    [10**400, 0.0],
+    [0.0, -(10**400)],
+]
+
+
+def corrupted(rng, rows, cols):
+    """Valid grids with one or two bad entries or rows, in every order."""
+    cells = [(0, 0), (rows - 1, cols - 1), (rows // 2, 1)]
+    for bad in BAD_ENTRIES:
+        for r, c in cells:
+            grid = valid_rows(rng, rows, cols)
+            grid[r][c] = bad
+            yield grid
+    for first, second in [([np.inf, 0.0], "x"), ("x", [np.inf, 0.0]), ([np.nan, 0.0], [10**400, 0])]:
+        for (r1, c1), (r2, c2) in [((0, 1), (0, 2)), ((0, 1), (rows - 1, 0))]:
+            grid = valid_rows(rng, rows, cols)
+            grid[r1][c1], grid[r2][c2] = first, second
+            yield grid
+    for bad_row in ([[0.0, 0.0]] * (cols - 1), [[0.0, 0.0]] * (cols + 1), "row", None):
+        for earlier in (None, [np.inf, 0.0], "x"):
+            grid = valid_rows(rng, rows, cols)
+            grid[rows - 1] = bad_row
+            if earlier is not None:
+                grid[0][1] = earlier
+            yield grid
+
+
+class TestRowDecoder:
+    def test_matrix_bit_identical(self, rng):
+        rows = valid_rows(rng, 5, 5)
+        doc = {"n": 5, "entries": rows}
+        got = matrix_from_document(doc)
+        assert got.tobytes() == reference_grid(rows, 5, "").tobytes()
+        assert np.signbit(got[0, 0].imag) and np.signbit(got[0, -1].real)
+
+    def test_map_bit_identical(self, rng):
+        rows = valid_rows(rng, 9, 7)
+        got = map_from_document({"algebra": "1,2", "coefficients": rows}).coefficients
+        assert got.tobytes() == reference_grid(rows, 7, "").tobytes()
+
+    def test_matrix_rejections_match_reference(self, rng):
+        message = "entries do not form an n x n grid"
+        for rows in corrupted(rng, 4, 4):
+            got = decode_outcome(lambda: matrix_from_document({"n": 4, "entries": rows}))
+            assert got == decode_outcome(reference_grid, rows, 4, message)
+            assert got.startswith("InvalidDocument")
+
+    def test_map_rejections_match_reference(self, rng):
+        message = "coefficient rows must have 7 columns"
+        for rows in corrupted(rng, 9, 7):
+            got = decode_outcome(lambda: map_from_document({"algebra": "1,2", "coefficients": rows}).coefficients)
+            assert got == decode_outcome(reference_grid, rows, 7, message)
+            assert got.startswith("InvalidDocument")
+
+    def test_non_finite_output_is_strict_json(self):
+        text = canonical_json({"a": [np.inf, -np.inf, np.nan, 1.5], "z": complex(np.inf, -0.0)})
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert data == {"a": ["Infinity", "-Infinity", "NaN", 1.5], "z": ["Infinity", -0.0]}
 
 
 @pytest.fixture
@@ -159,6 +282,51 @@ class TestVerifyCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", str(path)]) == 2
+
+
+class TestKernelAndDocumentErrors:
+    """Errors from documents and kernels exit 2 with a one-line diagnostic."""
+
+    HUGE = "1" + "0" * 400
+
+    def huge_map_file(self, tmp_path):
+        alg = block_algebra((1, 2))
+        m = build_form_map(alg, JordanForm(Orientation.INNER, np.eye(3, dtype=complex)))
+        text = canonical_json(map_to_document(m)).replace("1.0", self.HUGE, 1)
+        assert self.HUGE in text
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["verify", "recover"])
+    def test_huge_integer_in_map(self, tmp_path, capsys, command):
+        assert main([command, self.huge_map_file(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"{command}: entries must be finite\n"
+
+    def test_huge_integer_in_matrix(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "entries": [[[%s, 0]]]}' % self.HUGE, encoding="utf-8")
+        assert main(["diagonalize", "1", str(path)]) == 2
+        assert capsys.readouterr().err == "diagonalize: entries must be finite\n"
+
+    def test_verify_overflowing_map(self, tmp_path, capsys):
+        alg = block_algebra((1, 2))
+        m = build_form_map(alg, JordanForm(Orientation.INNER, bounded_similarity((1, 2), np.random.default_rng(3))))
+        big = AlgebraMap(alg, m.coefficients * (1.5e308 / np.max(np.abs(m.coefficients))))
+        path = tmp_path / "big.json"
+        path.write_text(canonical_json(map_to_document(big)), encoding="utf-8")
+        assert main(["verify", str(path), "--budget", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify: matrix contains NaN or infinite entries\n"
+
+    def test_gallery_kernel_error(self, monkeypatch, capsys):
+        def overflow(*args, **kwargs):
+            raise NotFinite("matrix contains NaN or infinite entries")
+
+        monkeypatch.setattr("blocktri.cli.run_gallery_suite", overflow)
+        assert main(["gallery", "det_twist"]) == 2
+        assert capsys.readouterr().err == "gallery: matrix contains NaN or infinite entries\n"
 
 
 class TestDiagonalizeCommand:

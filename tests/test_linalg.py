@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from blocktri import (
     IllConditioned,
     MismatchedDimension,
+    NoConvergence,
     NotFinite,
     SchurForm,
     Singular,
@@ -21,9 +22,9 @@ from blocktri import (
     solve_sylvester_diagonal,
     spectral_norm,
 )
-from blocktri.linalg import frobenius
+from blocktri.linalg import CONDITION_BOUND, _gauss_jordan, frobenius
 
-from conftest import det_oracle, gaussian, match_multisets, matmul_oracle
+from conftest import det_oracle, gaussian, match_multisets, matmul_oracle, power_iteration_norm
 
 
 def unit(n, i, j):
@@ -251,3 +252,102 @@ class TestSpectralNorm:
     def test_rectangular(self, rng):
         a = gaussian(rng, 2, 6)
         assert abs(spectral_norm(a) - np.linalg.svd(a)[1][0]) <= 1e-8
+
+
+# --- LAPACK kernels against the self-contained algorithms they replace --------
+
+
+def norm1(a):
+    return float(np.max(np.sum(np.abs(a), axis=0)))
+
+
+def inverse_outcome(fn, a):
+    try:
+        return fn(a)
+    except (Singular, IllConditioned) as exc:
+        return type(exc)
+
+
+def near_singular_family(rng):
+    """Matrices from well-conditioned to singular: rotated geometric spectra,
+    graded rows, nearly dependent rows and exactly singular integer matrices."""
+    for n in (2, 3, 8, 16):
+        u = np.linalg.qr(gaussian(rng, n))[0]
+        v = np.linalg.qr(gaussian(rng, n))[0]
+        for k in np.arange(0.0, 17.0, 0.5):  # smallest singular value 10^-k
+            yield u @ np.diag(np.logspace(0.0, -k, n)) @ v
+        for k in (2, 6, 10, 14):
+            yield np.logspace(0.0, -k, n)[:, None] * gaussian(rng, n)
+        for eps in (1e-4, 1e-9, 1e-13, 0.0):
+            a = gaussian(rng, n)
+            a[-1] = a[0] + eps * gaussian(rng, 1, n)[0]
+            yield a
+    yield np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+    yield np.array([[1.0, 1e5], [0.0, 1e-5]], dtype=complex)
+    yield np.zeros((3, 3), dtype=complex)
+
+
+class TestInverseAgainstGaussJordan:
+    def test_same_outcome_on_near_singular_family(self, rng):
+        sides = set()
+        for a in near_singular_family(rng):
+            got = inverse_outcome(inverse, a)
+            ref = inverse_outcome(_gauss_jordan, a)
+            if isinstance(ref, type):
+                assert got is ref
+                continue
+            assert isinstance(got, np.ndarray)
+            cond = norm1(a) * norm1(ref)
+            sides.add(a.shape[0] * cond < CONDITION_BOUND)
+            assert norm1(got - ref) <= 1e3 * a.shape[0] * np.finfo(float).eps * cond * norm1(ref)
+        assert sides == {True, False}  # inverses on both sides of the n * cond_1 guard
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_either_side_of_guard(self, rng, n, factor):
+        u = np.linalg.qr(gaussian(rng, n))[0]
+        a = u @ np.diag(np.linspace(1.0, 2.0, n))
+        a[:, -1] *= 1e-6
+        # rescale the last column until n * cond_1 sits at factor * CONDITION_BOUND
+        for _ in range(4):
+            a[:, -1] *= n * norm1(a) * norm1(np.linalg.inv(a)) / (factor * CONDITION_BOUND)
+        ratio = n * norm1(a) * norm1(np.linalg.inv(a)) / CONDITION_BOUND
+        assert (ratio < 1.0) == (factor < 1.0)
+        got = inverse_outcome(inverse, a)
+        ref = inverse_outcome(_gauss_jordan, a)
+        if isinstance(ref, type):
+            assert got is ref
+        else:
+            cond = norm1(a) * norm1(ref)
+            assert norm1(got - ref) <= 1e3 * n * np.finfo(float).eps * cond * norm1(ref)
+
+    def test_empty(self):
+        assert inverse(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
+
+
+class TestSpectralNormAgainstPowerIteration:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (8, 8), (16, 16), (2, 6), (6, 2), (16, 5)])
+    def test_random(self, rng, shape):
+        a = gaussian(rng, *shape)
+        ref, converged = power_iteration_norm(a)
+        assert converged
+        assert abs(spectral_norm(a) - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("n, rank", [(3, 1), (8, 2), (16, 5), (6, 3)])
+    def test_rank_deficient(self, rng, n, rank):
+        a = gaussian(rng, n, rank) @ gaussian(rng, rank, n + 2)
+        ref, converged = power_iteration_norm(a)
+        assert converged
+        assert abs(spectral_norm(a) - ref) <= 1e-9 * ref
+
+    def test_return_info(self, rng):
+        a = gaussian(rng, 4, 7)
+        assert spectral_norm(a, return_info=True) == (spectral_norm(a), True)
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NoConvergence):
+            spectral_norm(np.eye(3))

@@ -45,6 +45,26 @@ class TestCharPolyPreserving:
         with pytest.raises(ValueError):
             check_char_poly_preserving(lambda x: x)
 
+    @pytest.mark.parametrize("parts", [(1,) * 12, (4, 4, 4, 4), (1,) * 16])
+    def test_quadratic_perturbation_caught_up_to_n16(self, parts):
+        # X -> X + x01 x12 E00 / 2 fixes 0, I and every unit; dividing every
+        # coefficient by ||A||^n made it pass from n = 12 on
+        def quadratic(x):
+            y = x.copy()
+            y[0, 0] += 0.5 * x[0, 1] * x[1, 2]
+            return y
+
+        res = check_char_poly_preserving(quadratic, block_algebra(parts), samples=20, seed=0)
+        assert not res.ok and res.worst >= 1e-2
+
+    @pytest.mark.parametrize("parts", [(1,) * 12, (4, 4, 4, 4), (1,) * 16, (16,)])
+    def test_form_maps_pass_at_large_n(self, rng, parts):
+        alg = block_algebra(parts)
+        for orientation in Orientation:
+            m = build_form_map(alg, JordanForm(orientation, bounded_similarity(parts, rng)))
+            res = check_char_poly_preserving(m, samples=30, seed=1)
+            assert res.ok and res.worst <= 1e-12
+
 
 class TestSpectrumShrinking:
     def test_identity(self):
