@@ -19,13 +19,15 @@ Composition = tuple[int, ...]
 
 
 def parse_composition(text: str) -> Composition:
-    """Parse the CLI text form "k1,k2,...,kr" into a composition tuple."""
+    """Parse the text form "k1,k2,...,kr" (argv, documents) of a composition of n <= 16."""
     try:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed composition {text!r}") from exc
     if not parts or any(k < 1 for k in parts):
         raise ValueError(f"composition parts must be positive: {text!r}")
+    if sum(parts) > 16:  # checked before any n x n allocation
+        raise ValueError(f"composition {text!r} exceeds n = 16")
     return parts
 
 

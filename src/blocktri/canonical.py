@@ -1,8 +1,8 @@
 """Constructive canonical forms inside a block algebra.
 
 Three constructions: diagonalization of a distinct-eigenvalue matrix by a
-similarity taken inside its own algebra (recursing on the leading block and
-gluing with a diagonal Sylvester solve), normalization of a rank-one
+similarity taken inside its own algebra (LAPACK eigenvectors of each diagonal
+block, glued with diagonal Sylvester solves), normalization of a rank-one
 triangular idempotent to a conjugated diagonal unit, and the rank-one shear
 family I + e_0 y^t with its closed-form conjugation identities.
 """
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import (
     EIGENVALUE_GAP_REL,
-    _solve_with_pivot_floor,
+    _lapack,
     as_matrix,
     eigenvalues,
     frobenius,
@@ -56,38 +56,24 @@ class IdempotentForm:
 
 
 def _eigenvector_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a full matrix with distinct eigenvalues.
+    """Diagonalize a full matrix with distinct eigenvalues by one LAPACK call.
 
-    Eigenvalues come from ``eigenvalues``; each eigenvector from a few steps
-    of inverse iteration with a deterministic probe.
+    A unit eigenvector v with ||(A - lam I) v||_2 > 1e-9 * max(1, ||A||_F)
+    raises IllConditioned. Each column's first peak entry is then pinned to
+    exactly 1: a deterministic phase, and the identity for diagonal input.
     """
     n = a.shape[0]
-    if n == 0:
-        return a.copy(), np.zeros(0, dtype=np.complex128)
-    if n == 1:
-        return identity(1), np.array([a[0, 0]], dtype=np.complex128)
-    lams = eigenvalues(a)
-    scale = max(frobenius(a), 1.0)
-    vecs = np.zeros((n, n), dtype=np.complex128)
-    for idx, lam in enumerate(lams):
-        shifted = a - lam * identity(n)
-        got = False
-        for attempt in range(4):
-            probe = np.exp(2j * np.pi * (attempt + 1) * np.arange(1, n + 1) / (n + 1.7))
-            v = probe / np.sqrt(np.sum(np.abs(probe) ** 2))
-            for _ in range(3):
-                v = _solve_with_pivot_floor(shifted, v)
-                v /= np.sqrt(np.sum(np.abs(v) ** 2))
-            if np.sqrt(np.sum(np.abs(shifted @ v) ** 2)) <= 1e-9 * scale:
-                got = True
-                break
-        if not got:
-            raise IllConditioned(f"inverse iteration failed for eigenvalue {lam}")
-        # pin the peak component to exactly 1: deterministic phase, and the
-        # identity similarity comes out exactly for already-diagonal input
-        v = v / v[int(np.argmax(np.abs(v)))]
-        vecs[:, idx] = v
-    return vecs, lams
+    if n <= 1:
+        return identity(n), a.diagonal().copy()
+    lams, vecs = _lapack("eig", a)
+    residuals = np.sqrt(np.sum(np.abs(a @ vecs - vecs * lams) ** 2, axis=0))
+    threshold = 1e-9 * max(1.0, frobenius(a))
+    for lam, res in zip(lams, residuals):
+        if not res <= threshold:  # also catches NaN
+            raise IllConditioned(
+                f"eigenvector residual {res:.3e} for eigenvalue {lam} exceeds {threshold:.3e}"
+            )
+    return vecs / vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)], lams
 
 
 def _constrained_eigenvector_matrix(a: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +89,7 @@ def _constrained_eigenvector_matrix(a: np.ndarray, s: int) -> tuple[np.ndarray, 
     t = np.zeros((n, n), dtype=np.complex128)
     t[s, s] = 1.0
     t[np.ix_(others, others)] = sub_vecs
-    d = np.zeros(n, dtype=np.complex128)
-    d[s] = a[s, s]
-    d[others] = sub_lams
-    return t, d
+    return t, np.insert(sub_lams, s, a[s, s])
 
 
 def _diagonalize_parts(
@@ -177,9 +160,6 @@ def diagonalize_in_algebra(
         if frobenius(a @ e - e @ a) > 1e-10 * max(scale, 1.0):
             raise ConstraintViolated("input does not commute with the diagonal unit")
     t, d = _diagonalize_parts(algebra.parts, a, constraint)
-    if constraint is not None and t[constraint, constraint] != 1.0:
-        # base cases pin the entry to 1.0 exactly; normalize defensively
-        t = t / t[constraint, constraint]
     inverse(t)  # validates conditioning; raises Singular/IllConditioned
     return InAlgebraDiagonalization(algebra=algebra, similarity=t, diagonal=d)
 
@@ -187,7 +167,7 @@ def diagonalize_in_algebra(
 def _top_two_singular_values(r: np.ndarray) -> tuple[float, float]:
     # singular values directly: through the eigenvalues of R^H R, rounding
     # alone puts s2 / s1 near sqrt(eps), at the rank-one threshold
-    vals = np.linalg.svd(r, compute_uv=False)
+    vals = _lapack("svd", r, compute_uv=False)
     s1 = float(vals[0]) if vals.size else 0.0
     s2 = float(vals[1]) if vals.size > 1 else 0.0
     return s1, s2

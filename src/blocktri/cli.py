@@ -153,6 +153,16 @@ def _cmd_gallery(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocktri",
@@ -173,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the preserver-property report on a map document")
     p.add_argument("map_file")
-    p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--budget", type=_budget, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_verify)
@@ -186,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="run one counterexample's certified property suite")
     p.add_argument("name")
-    p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--budget", type=_budget, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_gallery)
 

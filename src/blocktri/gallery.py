@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import BlockAlgebra, block_algebra, random_element
-from .errors import NotJordanEmbedding
+from .errors import NotFinite, NotJordanEmbedding
 from .linalg import char_poly, frobenius, identity, inverse, spectral_norm
 from .maps import algebra_map_from_function, is_jordan, recover_form
 from .preservers import (
@@ -38,11 +38,14 @@ def mobius_contraction(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
 
 
 def det_twist(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
-    """Conjugate by diag(e^{det X}, 1, ..., 1); always invertible."""
+    """Conjugate by diag(e^{det X}, 1, ..., 1); NotFinite if e^{det X} over- or underflows."""
     det = char_poly(x)[0]
     fdiag = np.ones(algebra.n, dtype=np.complex128)
-    fdiag[0] = np.exp(det)
-    ratio = np.outer(fdiag, 1.0 / fdiag)
+    with np.errstate(all="ignore"):
+        fdiag[0] = np.exp(det)
+        ratio = np.outer(fdiag, 1.0 / fdiag)
+    if not np.isfinite(ratio).all():
+        raise NotFinite(f"det_twist: e^(det X) with det X = {complex(det)} is out of range")
     np.fill_diagonal(ratio, 1.0)  # f_i / f_i is exactly 1
     return x * ratio
 

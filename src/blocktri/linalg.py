@@ -1,8 +1,9 @@
 """Dense complex linear algebra at desk scale (n <= 16).
 
-All matrices are plain numpy arrays of complex128. Eigenvalues, singular
-values and well-conditioned inverses come from LAPACK (``numpy.linalg``);
-the rest is self-contained: Gauss-Jordan inversion with partial pivoting
+All matrices are plain numpy arrays of complex128. Eigenvalues,
+eigenvectors, singular values and well-conditioned inverses come from LAPACK
+(``numpy.linalg``, only ever called from this module); the rest is
+self-contained: Gauss-Jordan inversion with partial pivoting
 (the fallback that decides Singular and IllConditioned), the
 Faddeev-LeVerrier recursion for characteristic polynomials, Householder
 Hessenberg reduction followed by Wilkinson-shifted QR for Schur forms, and
@@ -315,11 +316,15 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
     A (..., n, n) stack gives (..., n) eigenvalues. LAPACK's failure to
     converge raises NoConvergence.
     """
-    a = as_stack(a)
+    return _lapack("eigvals", as_stack(a))
+
+
+def _lapack(name: str, *args, **kwargs):
+    """``numpy.linalg.<name>(...)`` with LAPACK's failure raised as NoConvergence."""
     try:
-        return np.linalg.eigvals(a)
+        return getattr(np.linalg, name)(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigenvalue iteration did not converge: {exc}") from exc
+        raise NoConvergence(f"LAPACK {name} did not converge: {exc}") from exc
 
 
 def solve_sylvester_diagonal(d1, d2, c: np.ndarray) -> np.ndarray:
@@ -352,44 +357,6 @@ def spectral_norm(a: np.ndarray, *, return_info: bool = False):
     converge raises NoConvergence.
     """
     a = as_matrix(a)
-    value = 0.0
-    if a.size:
-        try:
-            value = float(np.linalg.svd(a, compute_uv=False)[0])
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular value iteration did not converge: {exc}") from exc
+    value = float(_lapack("svd", a, compute_uv=False)[0]) if a.size else 0.0
     return (value, True) if return_info else value
 
-
-def _solve_with_pivot_floor(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve that floors tiny pivots instead of rejecting them.
-
-    Used for inverse iteration, where a nearly singular shifted matrix is the
-    working regime rather than an error.
-    """
-    n = a.shape[0]
-    m = a.copy()
-    b = rhs.astype(np.complex128).copy()
-    scale = float(np.max(np.abs(a))) or 1.0
-    floor = 1e-40 * scale
-    perm = np.arange(n)
-    for col in range(n - 1):
-        p = col + int(np.argmax(np.abs(m[col:, col])))
-        if p != col:
-            m[[col, p]] = m[[p, col]]
-            b[[col, p]] = b[[p, col]]
-            perm[[col, p]] = perm[[p, col]]
-        pivot = m[col, col]
-        if abs(pivot) < floor:
-            pivot = np.complex128(floor)
-            m[col, col] = pivot
-        factors = m[col + 1 :, col] / pivot
-        m[col + 1 :, col:] -= np.outer(factors, m[col, col:])
-        b[col + 1 :] -= factors * b[col]
-    x = np.zeros(n, dtype=np.complex128)
-    for row in range(n - 1, -1, -1):
-        pivot = m[row, row]
-        if abs(pivot) < floor:
-            pivot = np.complex128(floor)
-        x[row] = (b[row] - m[row, row + 1 :] @ x[row + 1 :]) / pivot
-    return x

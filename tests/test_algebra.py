@@ -42,6 +42,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             parse_composition("a,b")
 
+    @pytest.mark.parametrize("text", ["17", "1000000", "8,9", "1," * 16 + "1"])
+    def test_parse_caps_n_at_16(self, text):
+        with pytest.raises(ValueError, match="exceeds n = 16"):
+            parse_composition(text)
+        with pytest.raises(ValueError, match="exceeds n = 16"):
+            block_algebra(text)
+
+    def test_parse_accepts_n_16(self):
+        assert parse_composition("16") == (16,)
+        assert parse_composition("1," * 15 + "1") == (1,) * 16
+        assert block_algebra((17,)).n == 17  # tuples are not text
+
     def test_support_matches_cutpoint_rule(self):
         # validate the mask against the cutpoint characterization
         for n in range(1, 7):

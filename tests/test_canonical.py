@@ -1,5 +1,7 @@
 """Canonical forms: in-algebra diagonalization, idempotent normalization, shears."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from blocktri import (
     ConstraintViolated,
+    IllConditioned,
+    NoConvergence,
     NonzeroFirstComponent,
     NotIdempotent,
     NotRankOne,
@@ -29,6 +33,10 @@ from conftest import (
     make_member,
     match_multisets,
 )
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
 
 
 def unit(n, i, j):
@@ -54,7 +62,19 @@ class TestDiagonalize:
         assert np.array_equal(res.similarity, np.array([[1.0, c], [0.0, 1.0]]))
         assert np.array_equal(res.diagonal, np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("parts", [(1, 2), (2, 1), (2, 2), (1, 1, 2), (3, 2)])
+    @pytest.mark.parametrize("parts", [(1, 3), (3,), (1,) * 16, (4, 4, 4, 4), (16,)])
+    def test_already_diagonal_exact(self, rng, parts):
+        # pinning each eigenvector's peak to 1 turns LAPACK's unit vectors
+        # into exactly the identity, whatever order the diagonal comes in
+        n = sum(parts)
+        d = rng.permutation(n) + 0.5j * rng.permutation(n)
+        res = diagonalize_in_algebra(block_algebra(parts), np.diag(d))
+        assert np.array_equal(res.similarity, np.eye(n))
+        assert np.array_equal(res.diagonal, d)
+
+    @pytest.mark.parametrize(
+        "parts", [(1, 2), (2, 1), (2, 2), (1, 1, 2), (3, 2), (1,) * 16, (4, 4, 4, 4), (16,)]
+    )
     def test_random_round_trip(self, rng, parts):
         alg, a = make_member(parts, rng)
         res = diagonalize_in_algebra(alg, a)
@@ -74,7 +94,20 @@ class TestDiagonalize:
         match_multisets(res.diagonal[:2], eigenvalues(a[:2, :2]), 1e-8)
         match_multisets(res.diagonal[2:], eigenvalues(a[2:, 2:]), 1e-8)
 
-    @pytest.mark.parametrize("parts,s", [((2, 2), 0), ((2, 2), 3), ((1, 2, 1), 2), ((4,), 1)])
+    @pytest.mark.parametrize(
+        "parts,s",
+        [
+            ((2, 2), 0),
+            ((2, 2), 3),
+            ((1, 2, 1), 2),
+            ((4,), 1),
+            ((4, 4, 4, 4), 0),
+            ((4, 4, 4, 4), 6),
+            ((4, 4, 4, 4), 15),
+            ((1,) * 16, 9),
+            ((16,), 11),
+        ],
+    )
     def test_constrained(self, rng, parts, s):
         alg, a = make_member(parts, rng, constraint=s)
         res = diagonalize_in_algebra(alg, a, constraint=s)
@@ -109,6 +142,32 @@ class TestDiagonalize:
         res = diagonalize_in_algebra(alg, a)
         recon = res.similarity @ np.diag(res.diagonal) @ inverse(res.similarity)
         assert frobenius(recon - a) <= 1e-8 * frobenius(a)
+
+    def test_bad_eigenvector_reports_residual(self, rng, monkeypatch):
+        alg, a = make_member((3,), rng)
+        lapack_eig = np.linalg.eig
+
+        def wrong_vector(m):
+            lams, vecs = lapack_eig(m)
+            vecs[:, 1] = vecs[:, 0]
+            return lams, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", wrong_vector)
+        with pytest.raises(IllConditioned) as info:
+            diagonalize_in_algebra(alg, a)
+        threshold = 1e-9 * max(1.0, frobenius(a))
+        match = re.fullmatch(
+            r"eigenvector residual (\S+) for eigenvalue (\S+) exceeds (\S+)", str(info.value)
+        )
+        assert match is not None, str(info.value)
+        assert float(match.group(1)) > threshold
+        assert float(match.group(3)) == pytest.approx(threshold, rel=1e-3)
+
+    def test_lapack_failure_is_no_convergence(self, rng, monkeypatch):
+        alg, a = make_member((2, 2), rng)
+        monkeypatch.setattr(np.linalg, "eig", _no_convergence)
+        with pytest.raises(NoConvergence):
+            diagonalize_in_algebra(alg, a)
 
 
 class TestTriangularIdempotentForm:
@@ -160,6 +219,11 @@ class TestTriangularIdempotentForm:
     def test_not_idempotent(self):
         with pytest.raises(NotIdempotent):
             triangular_idempotent_form(2.0 * unit(3, 1, 1))
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+        with pytest.raises(NoConvergence):
+            triangular_idempotent_form(unit(3, 1, 1))
 
     def test_not_rank_one(self):
         with pytest.raises(NotRankOne):

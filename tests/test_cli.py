@@ -329,6 +329,66 @@ class TestKernelAndDocumentErrors:
         assert capsys.readouterr().err == "gallery: matrix contains NaN or infinite entries\n"
 
 
+    def test_diagonalize_lapack_failure(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        path = tmp_path / "m.json"
+        path.write_text(
+            canonical_json(matrix_to_document(np.array([[1.0, 1.0], [0.5, 3.0]], dtype=complex))),
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        assert main(["diagonalize", "2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("diagonalize: ")
+        assert "did not converge" in captured.err
+
+
+class TestEnvelope:
+    """Argv and documents outside the desk-scale envelope exit 2."""
+
+    @pytest.fixture(autouse=True)
+    def no_large_algebra_built(self, monkeypatch):
+        def guarded(spec):
+            assert sum(spec) <= 16, f"block_algebra({spec!r}) called on rejected input"
+            return block_algebra(spec)
+
+        monkeypatch.setattr("blocktri.cli.block_algebra", guarded)
+        monkeypatch.setattr("blocktri.documents.block_algebra", guarded)
+
+    @pytest.mark.parametrize("big", ["17", "1000000"])
+    def test_embed_check(self, capsys, big):
+        assert main(["embed-check", big, "1"]) == 2
+        assert main(["embed-check", "1", big]) == 2
+        assert capsys.readouterr().err == (
+            f"embed-check: composition '{big}' exceeds n = 16\n" * 2
+        )
+
+    @pytest.mark.parametrize("big", ["17", "1000000"])
+    def test_diagonalize(self, tmp_path, capsys, big):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "entries": [[[1, 0]]]}', encoding="utf-8")
+        assert main(["diagonalize", big, str(path)]) == 2
+        assert capsys.readouterr().err == f"diagonalize: composition '{big}' exceeds n = 16\n"
+
+    @pytest.mark.parametrize("command", ["verify", "recover"])
+    @pytest.mark.parametrize("big", ["17", "1000000"])
+    def test_map_document(self, tmp_path, capsys, command, big):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"algebra": big, "coefficients": []}), encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"{command}: composition '{big}' exceeds n = 16\n"
+
+    @pytest.mark.parametrize("argv", [["verify", "map.json"], ["gallery", "det_twist"]])
+    def test_negative_budget(self, capsys, argv):
+        assert main(argv + ["--budget", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --budget: must be a non-negative integer, got '-5'" in captured.err
+
+
 class TestDiagonalizeCommand:
     def _write(self, tmp_path, matrix):
         path = tmp_path / "m.json"

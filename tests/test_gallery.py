@@ -1,10 +1,13 @@
 """The four counterexample maps: satisfied and violated properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from blocktri import (
     GALLERY,
+    NotFinite,
     NotJordanEmbedding,
     algebra_map_from_function,
     block_algebra,
@@ -125,6 +128,15 @@ class TestDetTwist:
             x = random_element(alg, rng)
             diff = np.abs(char_poly(det_twist(alg, x)) - char_poly(x))
             assert np.max(diff) <= 1e-8 * max(1.0, frobenius(x) ** 3)
+
+    @pytest.mark.parametrize("scale", [10.0, -10.0])
+    def test_out_of_range_twist_raises(self, scale):
+        # det(10 I) = 1000: e^1000 overflows and e^-1000 underflows to 0
+        alg = block_algebra((2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite, match="det_twist"):
+                det_twist(alg, scale * np.eye(3, dtype=complex))
 
 
 class TestEigenSwap:

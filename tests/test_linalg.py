@@ -1,10 +1,14 @@
 """Core linear algebra: decompositions against independent oracles."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blocktri
 from blocktri import (
     IllConditioned,
     MismatchedDimension,
@@ -351,3 +355,15 @@ class TestSpectralNormAgainstPowerIteration:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NoConvergence):
             spectral_norm(np.eye(3))
+
+
+def test_numpy_linalg_called_only_from_linalg():
+    # one module owns every LAPACK call and the LinAlgError -> NoConvergence rule
+    package = Path(blocktri.__file__).parent
+    offenders = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "linalg.py"
+        and re.search(r"\b(np|numpy)\.linalg\b", path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
