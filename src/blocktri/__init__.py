@@ -65,8 +65,6 @@ from .linalg import (
     char_poly,
     eigenvalues,
     inverse,
-    matmul,
-    poly_eval,
     schur,
     solve_sylvester_diagonal,
     spectral_norm,

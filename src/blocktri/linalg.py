@@ -2,19 +2,18 @@
 
 All matrices are plain numpy arrays of complex128. Eigenvalues,
 eigenvectors, singular values and well-conditioned inverses come from LAPACK
-(``numpy.linalg``, only ever called from this module); the rest is
-self-contained: Gauss-Jordan inversion with partial pivoting
-(the fallback that decides Singular and IllConditioned), the
-Faddeev-LeVerrier recursion for characteristic polynomials, Householder
-Hessenberg reduction followed by Wilkinson-shifted QR for Schur forms, and
-an entrywise solver for Sylvester equations with diagonal coefficients.
-``eigenvalues``, ``char_poly`` and ``frobenius`` also take (..., n, n)
-stacks of matrices.
+(``numpy.linalg``, only ever called from this module). Schur forms deflate
+one LAPACK eigenvalue at a time with the null vector from a LAPACK SVD and a
+Householder reflector. The rest is self-contained: Gauss-Jordan inversion
+with partial pivoting (the fallback that decides Singular and
+IllConditioned), the Faddeev-LeVerrier recursion for characteristic
+polynomials, and an entrywise solver for Sylvester equations with diagonal
+coefficients. ``eigenvalues``, ``char_poly`` and ``frobenius`` also take
+(..., n, n) stacks of matrices.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,8 @@ from .errors import (
 
 SINGULAR_PIVOT_REL = 1e-12
 CONDITION_BOUND = 1e12
-DEFLATION_REL = 1e-12
-SWEEP_CAP_FACTOR = 100
+SCHUR_LOWER_EPS = 64
+FROBENIUS_LO, FROBENIUS_HI = 1e-150, 1e150
 EIGENVALUE_GAP_REL = 1e-6
 SYLVESTER_GAP_REL = 1e-9
 
@@ -64,27 +63,35 @@ def as_stack(a) -> np.ndarray:
     return m
 
 
+@np.errstate(over="raise", under="raise")
 def frobenius(a: np.ndarray):
     """Frobenius norm of a matrix, as a float; of each matrix of a (..., n, n)
-    stack, as an array."""
+    stack, as an array. It neither overflows nor underflows (see
+    ``_rescued_norm``); inf and NaN entries give inf and NaN."""
     a = np.asarray(a)
-    if a.ndim <= 2:
-        return float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
-    return np.sqrt(np.sum(np.abs(flat) ** 2, axis=-1))
+    axis = None if a.ndim <= 2 else -1
+    m = np.abs(a if axis is None else a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],)))
+    try:
+        norm = np.sqrt(np.sum(m**2, axis=axis))
+    except FloatingPointError:
+        norm = _rescued_norm(m, axis)
+    return float(norm) if axis is None else norm
+
+
+@np.errstate(over="ignore", under="ignore")
+def _rescued_norm(m: np.ndarray, axis):
+    """After over- or underflow: norms in [1e-150, 1e150] keep their plain value;
+    other nonzero ones come from the entries divided by their largest modulus."""
+    norm = np.sqrt(np.sum(m**2, axis=axis))
+    big = np.max(m, axis=axis, initial=0.0, keepdims=True)
+    scale = np.where((big > 0.0) & (big < np.inf), big, 1.0)
+    rescaled = np.sqrt(np.sum((m / scale) ** 2, axis=axis)) * np.squeeze(scale, axis=axis)
+    redo = ~((norm >= FROBENIUS_LO) & (norm <= FROBENIUS_HI)) & (np.squeeze(big, axis=axis) > 0.0)
+    return np.where(redo, rescaled, norm)
 
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape validation."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise MismatchedDimension(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -159,14 +166,6 @@ def char_poly(a: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def poly_eval(coeffs: np.ndarray, x: complex) -> complex:
-    """Evaluate an ascending-degree coefficient vector by Horner's rule."""
-    acc = np.complex128(0)
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return complex(acc)
-
-
 @dataclass(frozen=True)
 class SchurForm:
     """Unitary Schur triangularization: input = unitary @ upper @ unitary^H."""
@@ -175,139 +174,42 @@ class SchurForm:
     upper: np.ndarray
 
 
-def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    h = a.copy()
-    q = identity(n)
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        nx = float(np.sqrt(np.sum(np.abs(x) ** 2)))
-        if nx < 1e-290:
-            h[k + 2 :, k] = 0.0
-            continue
-        v = x
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
-        v[0] += phase * nx
-        vn2 = float(np.sum(np.abs(v) ** 2))
-        if vn2 < 1e-290:
-            continue
-        beta = 2.0 / vn2
-        h[k + 1 :, k:] -= beta * np.outer(v, np.conj(v) @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= beta * np.outer(h[:, k + 1 :] @ v, np.conj(v))
-        q[:, k + 1 :] -= beta * np.outer(q[:, k + 1 :] @ v, np.conj(v))
-        h[k + 2 :, k] = 0.0
-    return h, q
-
-
-def _rotate_rows(m: np.ndarray, k: int, ca: complex, cb: complex) -> None:
-    ri = ca * m[k, :] + cb * m[k + 1, :]
-    rj = -np.conj(cb) * m[k, :] + np.conj(ca) * m[k + 1, :]
-    m[k, :] = ri
-    m[k + 1, :] = rj
-
-
-def _rotate_cols(m: np.ndarray, k: int, ca: complex, cb: complex) -> None:
-    ci = np.conj(ca) * m[:, k] + np.conj(cb) * m[:, k + 1]
-    cj = -cb * m[:, k] + ca * m[:, k + 1]
-    m[:, k] = ci
-    m[:, k + 1] = cj
-
-
-def _qr_step(h: np.ndarray, q: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One explicit-shift QR sweep on the active block h[lo:hi+1, lo:hi+1]."""
-    for i in range(lo, hi + 1):
-        h[i, i] -= mu
-    rots: list[tuple[complex, complex]] = []
-    for k in range(lo, hi):
-        x, y = h[k, k], h[k + 1, k]
-        r = math.hypot(abs(x), abs(y))
-        if r == 0.0:
-            ca, cb = np.complex128(1.0), np.complex128(0.0)
-        else:
-            ca, cb = np.conj(x) / r, np.conj(y) / r
-        rots.append((ca, cb))
-        _rotate_rows(h, k, ca, cb)
-        h[k + 1, k] = 0.0
-    for k in range(lo, hi):
-        ca, cb = rots[k - lo]
-        _rotate_cols(h, k, ca, cb)
-        _rotate_cols(q, k, ca, cb)
-    for i in range(lo, hi + 1):
-        h[i, i] += mu
-
-
-def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
-    p, r = h[hi - 1, hi - 1], h[hi - 1, hi]
-    s, t = h[hi, hi - 1], h[hi, hi]
-    d = 0.5 * (p - t)
-    disc = np.sqrt(d * d + r * s)
-    denom = d + disc if abs(d + disc) >= abs(d - disc) else d - disc
-    if denom == 0:
-        return complex(t)
-    return complex(t - (r * s) / denom)
-
-
-def _triangularize_2x2(h: np.ndarray, q: np.ndarray, k: int) -> None:
-    """Annihilate the subdiagonal of the 2x2 block at (k, k) by a unitary similarity."""
-    p, r = h[k, k], h[k, k + 1]
-    s, t = h[k + 1, k], h[k + 1, k + 1]
-    half = 0.5 * (p + t)
-    disc = np.sqrt(0.25 * (p - t) ** 2 + r * s)
-    lam = half + disc if abs(disc) > 0 else half
-    v = np.array([r, lam - p], dtype=np.complex128)
-    u = np.array([lam - t, s], dtype=np.complex128)
-    w = v if np.sum(np.abs(v)) >= np.sum(np.abs(u)) else u
-    nw = float(np.sqrt(np.sum(np.abs(w) ** 2)))
-    if nw == 0.0:
-        h[k + 1, k] = 0.0
-        return
-    w /= nw
-    # similarity by G^H . G = [[w0, -conj(w1)], [w1, conj(w0)]] has first column w
-    ca, cb = np.conj(w[0]), np.conj(w[1])
-    _rotate_rows(h, k, ca, cb)
-    _rotate_cols(h, k, ca, cb)
-    _rotate_cols(q, k, ca, cb)
-    h[k + 1, k] = 0.0
-
-
 def schur(a: np.ndarray) -> SchurForm:
-    """Unitary Schur form a = U T U^H with T upper-triangular."""
+    """Unitary Schur form a = U T U^H with T upper-triangular.
+
+    Deflation (Golub & Van Loan, Matrix Computations, 7.1): at each k, one
+    Householder reflector maps a null vector of T[k:, k:] - lam I (lam a LAPACK
+    eigenvalue, the vector its last right singular vector) to e_1, which zeroes
+    column k below the diagonal up to rounding. Zero columns are skipped: for
+    triangular a, U = I and T = a unless scaling made an entry subnormal. A strict
+    lower triangle above 64 n eps ||A||_F, or a LAPACK failure, raises NoConvergence.
+    """
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    scale = frobenius(a)
-    if n <= 1 or scale == 0.0:
-        return SchurForm(unitary=identity(n), upper=a.copy())
-    h, q = _hessenberg(a)
-    tol = DEFLATION_REL * scale
-    cap = SWEEP_CAP_FACTOR * n
-    sweeps = 0
-    stagnation = 0
-    hi = n - 1
-    while hi > 0:
-        if abs(h[hi, hi - 1]) <= tol:
-            h[hi, hi - 1] = 0.0
-            hi -= 1
-            stagnation = 0
+    q = identity(n)
+    exp = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    t = _ldexp(a, -exp)  # max |t| in [1/2, 1); a power-of-two scaling is exact
+    threshold = SCHUR_LOWER_EPS * n * np.finfo(np.float64).eps
+    scale = frobenius(t)
+    for k in range(n - 1):
+        if not t[k + 1 :, k].any():
             continue
-        lo = hi - 1
-        while lo > 0 and abs(h[lo, lo - 1]) > tol:
-            lo -= 1
-        if lo > 0:
-            h[lo, lo - 1] = 0.0
-        if hi - lo == 1:
-            _triangularize_2x2(h, q, lo)
-            stagnation = 0
-            continue
-        sweeps += 1
-        stagnation += 1
-        if sweeps > cap:
-            raise NoConvergence(f"QR iteration exceeded {cap} sweeps")
-        if stagnation % 15 == 0:
-            mu = complex(h[hi, hi] + (0.75 + 0.4375j) * abs(h[hi, hi - 1]))
-        else:
-            mu = _wilkinson_shift(h, hi)
-        _qr_step(h, q, lo, hi, mu)
-    return SchurForm(unitary=q, upper=np.triu(h))
+        lam = _lapack("eigvals", t[k:, k:])[0]
+        u = np.conj(_lapack("svd", t[k:, k:] - lam * identity(n - k))[2][-1])
+        u[0] += np.exp(1j * np.angle(u[0]))
+        u *= np.sqrt(2.0 / np.vdot(u, u).real)  # I - u u^H is the reflector
+        t[k:, :] -= np.outer(u, np.conj(u) @ t[k:, :])
+        t[:, k:] -= np.outer(t[:, k:] @ u, np.conj(u))
+        q[:, k:] -= np.outer(q[:, k:] @ u, np.conj(u))
+    lower = float(np.max(np.abs(np.tril(t, -1)), initial=0.0))
+    if not lower <= threshold * scale:  # also catches NaN
+        raise NoConvergence(f"strict lower triangle {lower / scale:.3e} ||A||_F exceeds {threshold:.3e} ||A||_F")
+    return SchurForm(unitary=q, upper=_ldexp(np.triu(t), exp))
+
+
+def _ldexp(z: np.ndarray, exp: int) -> np.ndarray:
+    """z * 2**exp for a complex array, exact while entries stay in the normal range."""
+    return np.ldexp(z.real, exp) + 1j * np.ldexp(z.imag, exp)
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -285,7 +285,7 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
     tol_struct = 1e-6
     total = np.zeros((n, n), dtype=np.complex128)
     for i, p in enumerate(proj):
-        if frobenius(p @ p - p) > tol_struct * max(1.0, frobenius(p) ** 2):
+        if frobenius(p @ p - p) > tol_struct * max(1.0, np.square(frobenius(p))):  # inf, not OverflowError
             raise NotJordanEmbedding(f"image of diagonal unit {i} is not idempotent")
         if abs(np.trace(p) - 1.0) > tol_struct:
             raise NotJordanEmbedding(f"image of diagonal unit {i} is not rank one")

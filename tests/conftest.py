@@ -3,10 +3,16 @@ and independent reference implementations used as oracles."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from blocktri import block_algebra, random_element, spectral_norm
+from blocktri import NoConvergence, SchurForm, block_algebra, random_element, spectral_norm
+from blocktri.linalg import as_matrix, frobenius, identity
+
+DEFLATION_REL = 1e-12
+SWEEP_CAP_FACTOR = 100
 
 
 def all_compositions(n: int) -> list[tuple[int, ...]]:
@@ -17,21 +23,6 @@ def all_compositions(n: int) -> list[tuple[int, ...]]:
     for first in range(1, n + 1):
         for rest in all_compositions(n - first):
             out.append((first,) + rest)
-    return out
-
-
-def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Naive O(n^3) triple loop, independent of the library path."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=np.complex128)
-    for i in range(n):
-        for j in range(m):
-            acc = 0j
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
     return out
 
 
@@ -81,6 +72,142 @@ def power_iteration_norm(a: np.ndarray) -> tuple[float, bool]:
             continue
         v = w / nw
     return sigma, False
+
+
+def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = a.shape[0]
+    h = a.copy()
+    q = identity(n)
+    for k in range(n - 2):
+        x = h[k + 1 :, k].copy()
+        nx = float(np.sqrt(np.sum(np.abs(x) ** 2)))
+        if nx < 1e-290:
+            h[k + 2 :, k] = 0.0
+            continue
+        v = x
+        phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
+        v[0] += phase * nx
+        vn2 = float(np.sum(np.abs(v) ** 2))
+        if vn2 < 1e-290:
+            continue
+        beta = 2.0 / vn2
+        h[k + 1 :, k:] -= beta * np.outer(v, np.conj(v) @ h[k + 1 :, k:])
+        h[:, k + 1 :] -= beta * np.outer(h[:, k + 1 :] @ v, np.conj(v))
+        q[:, k + 1 :] -= beta * np.outer(q[:, k + 1 :] @ v, np.conj(v))
+        h[k + 2 :, k] = 0.0
+    return h, q
+
+
+def _rotate_rows(m: np.ndarray, k: int, ca: complex, cb: complex) -> None:
+    ri = ca * m[k, :] + cb * m[k + 1, :]
+    rj = -np.conj(cb) * m[k, :] + np.conj(ca) * m[k + 1, :]
+    m[k, :] = ri
+    m[k + 1, :] = rj
+
+
+def _rotate_cols(m: np.ndarray, k: int, ca: complex, cb: complex) -> None:
+    ci = np.conj(ca) * m[:, k] + np.conj(cb) * m[:, k + 1]
+    cj = -cb * m[:, k] + ca * m[:, k + 1]
+    m[:, k] = ci
+    m[:, k + 1] = cj
+
+
+def _qr_step(h: np.ndarray, q: np.ndarray, lo: int, hi: int, mu: complex) -> None:
+    """One explicit-shift QR sweep on the active block h[lo:hi+1, lo:hi+1]."""
+    for i in range(lo, hi + 1):
+        h[i, i] -= mu
+    rots: list[tuple[complex, complex]] = []
+    for k in range(lo, hi):
+        x, y = h[k, k], h[k + 1, k]
+        r = math.hypot(abs(x), abs(y))
+        if r == 0.0:
+            ca, cb = np.complex128(1.0), np.complex128(0.0)
+        else:
+            ca, cb = np.conj(x) / r, np.conj(y) / r
+        rots.append((ca, cb))
+        _rotate_rows(h, k, ca, cb)
+        h[k + 1, k] = 0.0
+    for k in range(lo, hi):
+        ca, cb = rots[k - lo]
+        _rotate_cols(h, k, ca, cb)
+        _rotate_cols(q, k, ca, cb)
+    for i in range(lo, hi + 1):
+        h[i, i] += mu
+
+
+def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
+    p, r = h[hi - 1, hi - 1], h[hi - 1, hi]
+    s, t = h[hi, hi - 1], h[hi, hi]
+    d = 0.5 * (p - t)
+    disc = np.sqrt(d * d + r * s)
+    denom = d + disc if abs(d + disc) >= abs(d - disc) else d - disc
+    if denom == 0:
+        return complex(t)
+    return complex(t - (r * s) / denom)
+
+
+def _triangularize_2x2(h: np.ndarray, q: np.ndarray, k: int) -> None:
+    """Annihilate the subdiagonal of the 2x2 block at (k, k) by a unitary similarity."""
+    p, r = h[k, k], h[k, k + 1]
+    s, t = h[k + 1, k], h[k + 1, k + 1]
+    half = 0.5 * (p + t)
+    disc = np.sqrt(0.25 * (p - t) ** 2 + r * s)
+    lam = half + disc if abs(disc) > 0 else half
+    v = np.array([r, lam - p], dtype=np.complex128)
+    u = np.array([lam - t, s], dtype=np.complex128)
+    w = v if np.sum(np.abs(v)) >= np.sum(np.abs(u)) else u
+    nw = float(np.sqrt(np.sum(np.abs(w) ** 2)))
+    if nw == 0.0:
+        h[k + 1, k] = 0.0
+        return
+    w /= nw
+    # similarity by G^H . G = [[w0, -conj(w1)], [w1, conj(w0)]] has first column w
+    ca, cb = np.conj(w[0]), np.conj(w[1])
+    _rotate_rows(h, k, ca, cb)
+    _rotate_cols(h, k, ca, cb)
+    _rotate_cols(q, k, ca, cb)
+    h[k + 1, k] = 0.0
+
+
+def qr_schur(a: np.ndarray) -> SchurForm:
+    """Unitary Schur form a = U T U^H by Householder Hessenberg reduction and
+    Wilkinson-shifted QR; the self-contained engine ``schur`` used before LAPACK."""
+    a = as_matrix(a, square=True)
+    n = a.shape[0]
+    scale = frobenius(a)
+    if n <= 1 or scale == 0.0:
+        return SchurForm(unitary=identity(n), upper=a.copy())
+    h, q = _hessenberg(a)
+    tol = DEFLATION_REL * scale
+    cap = SWEEP_CAP_FACTOR * n
+    sweeps = 0
+    stagnation = 0
+    hi = n - 1
+    while hi > 0:
+        if abs(h[hi, hi - 1]) <= tol:
+            h[hi, hi - 1] = 0.0
+            hi -= 1
+            stagnation = 0
+            continue
+        lo = hi - 1
+        while lo > 0 and abs(h[lo, lo - 1]) > tol:
+            lo -= 1
+        if lo > 0:
+            h[lo, lo - 1] = 0.0
+        if hi - lo == 1:
+            _triangularize_2x2(h, q, lo)
+            stagnation = 0
+            continue
+        sweeps += 1
+        stagnation += 1
+        if sweeps > cap:
+            raise NoConvergence(f"QR iteration exceeded {cap} sweeps")
+        if stagnation % 15 == 0:
+            mu = complex(h[hi, hi] + (0.75 + 0.4375j) * abs(h[hi, hi - 1]))
+        else:
+            mu = _wilkinson_shift(h, hi)
+        _qr_step(h, q, lo, hi, mu)
+    return SchurForm(unitary=q, upper=np.triu(h))
 
 
 def gaussian(rng, n: int, m: int | None = None) -> np.ndarray:

@@ -36,7 +36,6 @@ from blocktri import (
     random_commuting_pair,
     random_element,
     recover_form,
-    schur,
     triangular_idempotent_form,
 )
 from blocktri.cli import main
@@ -45,7 +44,7 @@ from blocktri.linalg import frobenius, identity, inverse, spectral_norm
 from blocktri.maps import PROBE_CHUNK, probe_chunks, unit_pair_residuals
 from blocktri.preservers import _multiset_match
 
-from conftest import bounded_similarity, gaussian, match_multisets
+from conftest import bounded_similarity, gaussian, match_multisets, qr_schur
 
 
 def form_map(parts, rng, orientation=Orientation.INNER, noise=0.0):
@@ -213,6 +212,18 @@ class TestApplyBatch:
         with pytest.raises(MismatchedDimension):
             apply_batch(m, good)
 
+    def test_membership_at_huge_entries(self, rng):
+        # ||x||_F used to overflow to inf, and an inf tolerance let the (2, 0) entry through
+        m = form_map((1, 2), rng)
+        x = np.zeros((3, 3), dtype=np.complex128)
+        x[0, 0], x[2, 0] = 1e160, 1e159
+        with pytest.raises(WrongAlgebra):
+            apply(m, x)
+        with pytest.raises(WrongAlgebra):
+            apply_batch(m, np.stack([random_element(m.domain, rng), x]))
+        x[2, 0] = 0.0
+        assert np.array_equal(apply(m, x), apply_batch(m, x[None])[0])
+
     def test_membership_tolerance_per_matrix(self, rng):
         # the tolerance scales with each matrix's own norm, not the stack's
         m = form_map((1, 2), rng)
@@ -237,7 +248,7 @@ class TestStackedKernels:
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_eigenvalues_against_schur_engine(self, rng, n):
         a = gaussian(rng, n)
-        match_multisets(eigenvalues(a), np.diag(schur(a).upper), 1e-9 * frobenius(a))
+        match_multisets(eigenvalues(a), np.diag(qr_schur(a).upper), 1e-9 * frobenius(a))
 
     def test_stack_validation(self):
         with pytest.raises(NotFinite):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 import blocktri
 from blocktri import (
@@ -17,54 +18,24 @@ from blocktri import (
     SchurForm,
     Singular,
     SpectraOverlap,
+    block_algebra,
     char_poly,
     eigenvalues,
     inverse,
-    matmul,
-    poly_eval,
+    random_element,
     schur,
     solve_sylvester_diagonal,
     spectral_norm,
 )
 from blocktri.linalg import CONDITION_BOUND, _gauss_jordan, frobenius
 
-from conftest import det_oracle, gaussian, match_multisets, matmul_oracle, power_iteration_norm
+from conftest import det_oracle, gaussian, match_multisets, power_iteration_norm, qr_schur
 
 
 def unit(n, i, j):
     e = np.zeros((n, n), dtype=np.complex128)
     e[i, j] = 1.0
     return e
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = gaussian(rng, 4)
-        assert np.array_equal(matmul(np.eye(4), a), a)
-
-    def test_matrix_unit_rule(self):
-        # E_01 E_12 = E_02 in 3x3
-        assert np.array_equal(matmul(unit(3, 0, 1), unit(3, 1, 2)), unit(3, 0, 2))
-        assert np.array_equal(matmul(unit(3, 0, 1), unit(3, 0, 2)), np.zeros((3, 3)))
-
-    def test_against_triple_loop(self, rng):
-        a = gaussian(rng, 4)
-        b = gaussian(rng, 4)
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), rtol=0, atol=1e-13)
-
-    def test_rectangular(self, rng):
-        a = gaussian(rng, 2, 5)
-        b = gaussian(rng, 5, 3)
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), rtol=0, atol=1e-13)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(MismatchedDimension):
-            matmul(gaussian(rng, 2, 3), gaussian(rng, 2, 3))
-
-    def test_rejects_nan(self):
-        bad = np.full((2, 2), np.nan + 0j)
-        with pytest.raises(NotFinite):
-            matmul(bad, np.eye(2))
 
 
 class TestInverse:
@@ -111,7 +82,7 @@ class TestCharPoly:
         scale = max(1.0, (1.0 + frobenius(a)) ** 4)
         for x in [0.0, 1.0, -1.0, 2.0j, 1.0 + 1.0j]:
             expected = det_oracle(a - x * np.eye(4))
-            assert abs(poly_eval(coeffs, x) - expected) <= 1e-10 * scale
+            assert abs(polyval(x, coeffs) - expected) <= 1e-10 * scale
 
     def test_similarity_invariance(self, rng):
         for _ in range(10):
@@ -135,7 +106,7 @@ class TestEigenvalues:
         a = gaussian(rng, 6)
         coeffs = char_poly(a)
         for lam in eigenvalues(a):
-            assert abs(poly_eval(coeffs, lam)) <= 1e-8 * frobenius(a) ** 6
+            assert abs(polyval(lam, coeffs)) <= 1e-8 * frobenius(a) ** 6
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_trace_and_det(self, rng, n):
@@ -355,6 +326,106 @@ class TestSpectralNormAgainstPowerIteration:
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NoConvergence):
             spectral_norm(np.eye(3))
+
+
+class TestSchurDeflation:
+    """``schur`` across the envelope, and against the QR engine it replaced."""
+
+    @staticmethod
+    def assert_schur_form(a, form):
+        n = a.shape[0]
+        scale = frobenius(a)
+        uh = np.conj(form.unitary.T)
+        assert frobenius(form.unitary @ form.upper @ uh - a) <= 1e-12 * scale
+        assert frobenius(uh @ form.unitary - np.eye(n)) <= 1e-12
+        assert np.max(np.abs(np.tril(form.upper, -1)), initial=0.0) <= 64 * n * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_diagonal_matches_qr_oracle(self, rng, n):
+        a = gaussian(rng, n)
+        form = schur(a)
+        self.assert_schur_form(a, form)
+        match_multisets(np.diag(form.upper), np.diag(qr_schur(a).upper), 1e-9 * frobenius(a))
+
+    def test_empty_and_scalar(self):
+        form = schur(np.zeros((0, 0)))
+        assert form.unitary.shape == form.upper.shape == (0, 0)
+        a = np.array([[2.5 - 1j]])
+        form = schur(a)
+        assert np.array_equal(form.unitary, np.eye(1)) and np.array_equal(form.upper, a)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_extreme_scales(self, rng, n, scale):
+        g = gaussian(rng, n)
+        form = schur(scale * g)
+        self.assert_schur_form(scale * g, form)
+        match_multisets(np.diag(form.upper) / scale, eigenvalues(g), 1e-9 * frobenius(g))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_triangular_input_is_returned_exactly(self, rng, scale):
+        nilpotent = np.diag(np.ones(15), 1).astype(complex)  # the Jordan block J_16
+        for a in (scale * np.triu(gaussian(rng, 16)), scale * nilpotent, np.zeros((5, 5), dtype=complex)):
+            form = schur(a)
+            assert np.array_equal(form.unitary, np.eye(a.shape[0]))
+            assert np.array_equal(form.upper, a)
+
+    def test_repeated_eigenvalues(self, rng):
+        u = np.linalg.qr(gaussian(rng, 16))[0]
+        nilpotent = np.diag(np.ones(15), 1)
+        for a in (np.kron(np.eye(4), gaussian(rng, 4)), u @ nilpotent @ np.conj(u.T)):
+            self.assert_schur_form(a, schur(a))
+
+    @pytest.mark.parametrize("parts", [(4, 4, 4, 4), (1,) * 16, (16,)])
+    def test_algebra_members(self, rng, parts):
+        alg = block_algebra(parts)
+        for _ in range(5):
+            a = random_element(alg, rng)
+            self.assert_schur_form(a, schur(a))
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotFinite):
+                schur(np.full((3, 3), bad + 0j))
+
+    @pytest.mark.parametrize("name", ["eigvals", "svd"])
+    def test_lapack_failure_is_no_convergence(self, rng, monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{name} did not converge")
+
+        a = gaussian(rng, 4)
+        monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(NoConvergence):
+            schur(a)
+
+    def test_lower_triangle_bound_names_value_and_threshold(self, rng, monkeypatch):
+        monkeypatch.setattr(blocktri.linalg, "SCHUR_LOWER_EPS", 0.0)
+        with pytest.raises(NoConvergence, match=r"strict lower triangle \d.* exceeds 0\.000e\+00"):
+            schur(gaussian(rng, 8))
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-155, 1e155, 1e160, 1e300])
+    def test_no_overflow_or_underflow(self, rng, scale):
+        a = gaussian(rng, 4)
+        want = scale * frobenius(a)
+        assert abs(frobenius(scale * a) - want) <= 1e-14 * want
+        got = frobenius(np.stack([scale * a, a, np.zeros((4, 4))]))
+        assert abs(got[0] - want) <= 1e-14 * want
+        assert got[1] == frobenius(a) and got[2] == 0.0
+
+    def test_in_range_results_unchanged(self, rng):
+        stack = np.stack([gaussian(rng, 5) * s for s in (1e-140, 1e-3, 1.0, 1e6, 1e140)])
+        stack[2, 0, 0] = 1e-170  # its square underflows, the norm stays in range
+        for a in stack:
+            assert frobenius(a) == float(np.sqrt(np.sum(np.abs(a) ** 2)))
+        assert np.array_equal(frobenius(stack), np.sqrt(np.sum(np.abs(stack.reshape(5, -1)) ** 2, axis=-1)))
+
+    def test_non_finite_entries(self):
+        assert frobenius(np.array([[np.inf, 1.0], [0.0, 1e200]])) == np.inf
+        assert np.isnan(frobenius(np.array([[np.nan, 1e200], [0.0, 1.0]])))
+        got = frobenius(np.stack([np.full((2, 2), np.inf), np.full((2, 2), np.nan), np.eye(2)]))
+        assert got[0] == np.inf and np.isnan(got[1]) and got[2] == np.sqrt(2.0)
 
 
 def test_numpy_linalg_called_only_from_linalg():
