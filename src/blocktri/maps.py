@@ -10,13 +10,15 @@ forms, and rejects everything else.
 Probes are evaluated as stacks: ``apply_batch`` maps a (k, n, n) stack with
 one product, ``probe_chunks`` streams a probe sequence in stacks of at most
 PROBE_CHUNK matrices, and ``unit_pair_residuals`` makes one pass over the
-products of all matrix-unit images, shared by ``is_jordan`` and the
-commutativity checker.
+products of all matrix-unit images. An AlgebraMap keeps a read-only copy of
+its coefficients and runs that pass once, on first use, as ``unit_pairs``;
+``is_jordan`` and the commutativity checker both read it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -67,10 +69,21 @@ class JordanForm:
 
 @dataclass(frozen=True)
 class AlgebraMap:
-    """A linear map from a block algebra into M_n, in cell-basis coordinates."""
+    """A linear map from a block algebra into M_n, in cell-basis coordinates;
+    ``coefficients`` is a read-only copy, so the cached ``unit_pairs`` stay valid."""
 
     domain: BlockAlgebra
     coefficients: np.ndarray
+
+    def __post_init__(self):
+        coefficients = np.array(self.coefficients)
+        coefficients.setflags(write=False)
+        object.__setattr__(self, "coefficients", coefficients)
+
+    @functools.cached_property
+    def unit_pairs(self) -> UnitPairs:
+        """The unit-pair pass over this map's unit images (``unit_pair_residuals``)."""
+        return unit_pair_residuals(self.domain, self.unit_images())
 
     def unit_image(self, cell_index: int) -> np.ndarray:
         n = self.domain.n
@@ -236,7 +249,7 @@ def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> Jo
     and the square identity on random elements."""
     alg = m.domain
     tally = Tally(tol)
-    tally.add(unit_pair_residuals(alg, m.unit_images()).jordan)
+    tally.add(m.unit_pairs.jordan)
     rng = np.random.default_rng(seed)
     for xs in probe_chunks(random_element(alg, rng) for _ in range(samples)):
         fx = apply_batch(m, xs)
@@ -277,20 +290,21 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
     alg = m.domain
     n = alg.n
     cell_index = {cell: k for k, cell in enumerate(alg.cells)}
-    images = [m.unit_image(k) for k in range(alg.dim)]
-    overall = max(max(frobenius(img) for img in images), 1e-300)
+    images = m.unit_images()
+    overall = max(float(np.fmax.reduce(frobenius(images))), 1e-300)  # fmax: a NaN norm never sets it
 
-    # (1) diagonal-unit images: orthogonal rank-one idempotents summing to I
-    proj = [images[cell_index[(i, i)]] for i in range(n)]
+    # (1) diagonal-unit images: orthogonal rank-one idempotents summing to I;
+    # each test fails on NaN, and p @ w in (2) rounds differently on copies
+    proj = [m.unit_image(cell_index[(i, i)]) for i in range(n)]
     tol_struct = 1e-6
     total = np.zeros((n, n), dtype=np.complex128)
     for i, p in enumerate(proj):
-        if frobenius(p @ p - p) > tol_struct * max(1.0, np.square(frobenius(p))):  # inf, not OverflowError
+        if not frobenius(p @ p - p) <= tol_struct * max(1.0, np.square(frobenius(p))):  # inf, not OverflowError
             raise NotJordanEmbedding(f"image of diagonal unit {i} is not idempotent")
-        if abs(np.trace(p) - 1.0) > tol_struct:
+        if not abs(np.trace(p) - 1.0) <= tol_struct:
             raise NotJordanEmbedding(f"image of diagonal unit {i} is not rank one")
         total += p
-    if frobenius(total - identity(n)) > tol_struct * n:
+    if not frobenius(total - identity(n)) <= tol_struct * n:
         raise NotJordanEmbedding("diagonal-unit images do not sum to the identity")
     stacked = np.stack(proj)
     cross = frobenius(stacked[:, None] @ stacked[None, :])  # ||P_i P_j||_F for all i, j
@@ -315,38 +329,32 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
     except (Singular, IllConditioned) as exc:
         raise NotJordanEmbedding(f"assembled similarity is not invertible: {exc}") from exc
 
-    # (3) classify: every conjugated unit image must sit on one cell
-    votes_inner = 0
-    votes_anti = 0
-    conjugated: dict[tuple[int, int], np.ndarray] = {}
-    for idx, (i, j) in enumerate(alg.cells):
-        md = sinv @ images[idx] @ s
-        conjugated[(i, j)] = md
-        total_mass = frobenius(md)
-        if total_mass <= 1e-10 * overall:
-            raise NotJordanEmbedding(f"image of unit {(i, j)} vanishes")
-        if i == j:
-            continue
-        rest = md.copy()
-        rest[i, j] = 0.0
-        inner_off = frobenius(rest)
-        rest[i, j] = md[i, j]
-        rest[j, i] = 0.0
-        anti_off = frobenius(rest)
-        if inner_off <= OFF_CELL_REL * total_mass:
-            votes_inner += 1
-        elif anti_off <= OFF_CELL_REL * total_mass:
-            votes_anti += 1
-        else:
-            raise NotJordanEmbedding(f"image of unit {(i, j)} is not cell-concentrated")
-    if votes_inner and votes_anti:
+    # (3) classify: every conjugated unit image must sit on one cell; the
+    # first unit in cell order that vanishes or is spread out is named
+    conjugated = sinv @ images @ s
+    mass = frobenius(conjugated)
+    units, rows, cols = np.arange(alg.dim), alg.cell_rows, alg.cell_cols
+    off = rows != cols
+    rest = conjugated.copy()
+    rest[units, rows, cols] = 0.0
+    inner = frobenius(rest) <= OFF_CELL_REL * mass
+    rest[units, rows, cols] = conjugated[units, rows, cols]
+    rest[units, cols, rows] = 0.0
+    vanishes = mass <= 1e-10 * overall
+    bad = vanishes | (off & ~inner & ~(frobenius(rest) <= OFF_CELL_REL * mass))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        what = "vanishes" if vanishes[k] else "is not cell-concentrated"
+        raise NotJordanEmbedding(f"image of unit {alg.cells[k]} {what}")
+    anti = off & ~inner
+    if np.any(anti) and np.any(off & inner):
         raise NotJordanEmbedding("mixed orientations across matrix units")
-    orientation = Orientation.ANTI_TRANSPOSE if votes_anti else Orientation.INNER
+    orientation = Orientation.ANTI_TRANSPOSE if np.any(anti) else Orientation.INNER
 
     # (4) diagonal rescaling anchored at the first row (E_0j always exists)
     d = np.ones(n, dtype=np.complex128)
     for j in range(1, n):
-        md = conjugated[(0, j)]
+        md = conjugated[cell_index[(0, j)]]
         if orientation is Orientation.INNER:
             c = md[0, j]
             d[j] = 1.0 / c

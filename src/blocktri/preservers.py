@@ -8,7 +8,8 @@ matching noisy eigenvalue lists.
 
 Probes are drawn one by one from the seed, in a fixed order, and evaluated
 in stacks of at most PROBE_CHUNK; a black-box evaluator is called once per
-probe. A residual that is not finite counts as a violation.
+probe. The matrix-unit pairs of an AlgebraMap come from its ``unit_pairs``.
+A residual that is not finite counts as a violation.
 """
 
 from __future__ import annotations
@@ -112,14 +113,14 @@ def check_commutativity_preserving(
 ) -> CheckResult:
     """Images of commuting pairs must commute, relative to their norms.
 
-    Every commuting pair of matrix units is checked (from one pass over the
-    unit images, each evaluated once), then ``pairs`` random commuting pairs.
+    Every commuting pair of matrix units is checked (from the map's
+    ``unit_pairs``, or one pass over a black box's unit images, each
+    evaluated once), then ``pairs`` random commuting pairs.
     """
     alg, fn = _as_evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     units = matrix_units(alg)
-    images = m.unit_images() if isinstance(m, AlgebraMap) else fn(units)
-    unit_pairs = unit_pair_residuals(alg, images)
+    unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, fn(units))
     commuting = unit_pairs.commuting
     p, q = unit_pairs.p[commuting], unit_pairs.q[commuting]
     tally = Tally(tol)

@@ -38,6 +38,7 @@ from blocktri import (
     recover_form,
     triangular_idempotent_form,
 )
+from blocktri import maps, preservers
 from blocktri.cli import main
 from blocktri.documents import canonical_json, map_to_document
 from blocktri.linalg import frobenius, identity, inverse, spectral_norm
@@ -310,6 +311,54 @@ class TestUnitPairPass:
         assert len(calls) == 2 + m.domain.dim + 7
 
 
+class TestUnitPairCache:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Every run of the unit-pair pass, from either module."""
+        calls = []
+
+        def counted(algebra, images):
+            calls.append(algebra)
+            return unit_pair_residuals(algebra, images)
+
+        monkeypatch.setattr(maps, "unit_pair_residuals", counted)
+        monkeypatch.setattr(preservers, "unit_pair_residuals", counted)
+        return calls
+
+    def test_once_per_map(self, rng, passes):
+        m = form_map((2, 3, 3), rng)
+        assert is_jordan(m).ok
+        assert full_report(m, budget=5).commutativity_preserving
+        assert check_commutativity_preserving(m, pairs=0).ok
+        assert len(passes) == 1
+
+    def test_black_box_once_per_call(self, rng, passes):
+        m = form_map((2, 3, 3), rng)
+        for calls in (1, 2):
+            full_report(lambda x: apply(m, x), m.domain, budget=5)
+            assert len(passes) == calls
+
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 3, 3), (4, 4, 4, 4)])
+    def test_bit_identical_to_fresh_pass(self, rng, parts):
+        m = form_map(parts, rng, noise=1e-3)
+        fresh = unit_pair_residuals(m.domain, m.unit_images())
+        for got, want in zip(m.unit_pairs, fresh):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_coefficients_read_only(self, rng):
+        m = form_map((1, 2), rng)
+        with pytest.raises(ValueError):
+            m.coefficients[0, 0] = 1.0
+
+    def test_caller_array_is_copied(self, rng):
+        c = np.array(form_map((1, 2), rng).coefficients)
+        want = c.copy()
+        m = AlgebraMap(block_algebra((1, 2)), c)
+        c[:] = 0.0
+        assert np.array_equal(m.coefficients, want)
+        assert is_jordan(m).ok
+
+
 # --- checkers against the per-probe loops -------------------------------------
 
 
@@ -379,6 +428,15 @@ class TestNonFinite:
     def test_recovery_rejects(self, overflowing_map):
         with np.errstate(all="ignore"), pytest.raises(NotJordanEmbedding):
             recover_form(overflowing_map)
+
+    def test_recovery_reads_nan_residual_as_failure(self, overflowing_map, tmp_path, capsys):
+        # the idempotency residual of the first diagonal image is NaN against an inf threshold
+        with pytest.raises(NotJordanEmbedding, match="diagonal unit 0 is not idempotent"):
+            recover_form(overflowing_map)
+        path = tmp_path / "big.json"
+        path.write_text(canonical_json(map_to_document(overflowing_map)), encoding="utf-8")
+        assert main(["recover", str(path)]) == 4
+        assert "is not idempotent" in capsys.readouterr().err
 
     def test_verify_command(self, overflowing_map, tmp_path, capsys):
         path = tmp_path / "big.json"

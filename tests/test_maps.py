@@ -197,6 +197,31 @@ class TestRecoverForm:
         with pytest.raises(NotJordanEmbedding):
             recover_form(AlgebraMap(m.domain, 2.0 * m.coefficients))
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({(0, 3): "zero"}, r"unit \(0, 3\) vanishes"),
+            ({(2, 4): "spread"}, r"unit \(2, 4\) is not cell-concentrated"),
+            ({(0, 3): "spread", (1, 2): "zero"}, r"unit \(0, 3\) is not cell-concentrated"),
+            ({(0, 3): "zero", (1, 2): "spread"}, r"unit \(0, 3\) vanishes"),
+            ({(1, 2): "faint"}, r"unit \(1, 2\) vanishes"),  # spread too, but vanishing is tested first
+            ({(3, 5): "anti"}, "mixed orientations"),
+        ],
+    )
+    def test_first_failing_unit_named(self, rng, edits, message):
+        # unit images edited in cell order: the first bad unit is named
+        alg = block_algebra((2, 3, 3))
+        t = bounded_similarity(alg.parts, rng)
+        c = np.array(build_form_map(alg, JordanForm(Orientation.INNER, t)).coefficients)
+        anti = build_form_map(alg, JordanForm(Orientation.ANTI_TRANSPOSE, t)).coefficients
+        index = {cell: k for k, cell in enumerate(alg.cells)}
+        for cell, edit in edits.items():
+            k = index[cell]
+            spread = c[:, k] + c[:, index[(7, 7)]]
+            c[:, k] = {"zero": 0.0, "spread": spread, "faint": 1e-12 * spread, "anti": anti[:, k]}[edit]
+        with pytest.raises(NotJordanEmbedding, match=message):
+            recover_form(AlgebraMap(alg, c))
+
     def test_verification_probes_match(self, rng):
         alg = block_algebra((2, 2))
         t = bounded_similarity(alg.parts, rng)
