@@ -147,18 +147,14 @@ class JordanIsoClass(enum.Enum):
     NOT_JORDAN_ISOMORPHIC = "not-jordan-isomorphic"
 
 
-def _coerce(spec) -> BlockAlgebra:
-    return spec if isinstance(spec, BlockAlgebra) else block_algebra(spec)
-
-
 def embeds(a, b) -> Embedding:
     """How the first algebra Jordan-embeds into the second.
 
     Inner embeddings exist iff support(a) is contained in support(b); flipped
     (anti) embeddings iff support of the reversed composition is.
     """
-    a = _coerce(a)
-    b = _coerce(b)
+    a = block_algebra(a)
+    b = block_algebra(b)
     if a.n != b.n:
         raise MismatchedDimension(f"compositions of different sizes: {a.n} vs {b.n}")
     inner_ok = not np.any(a.support & ~b.support)
@@ -178,8 +174,8 @@ def jordan_iso_class(a, b) -> JordanIsoClass:
     Equal tuples are isomorphic, reversed tuples anti-isomorphic, palindromic
     equal tuples both, anything else neither.
     """
-    a = _coerce(a)
-    b = _coerce(b)
+    a = block_algebra(a)
+    b = block_algebra(b)
     if a.n != b.n:
         raise MismatchedDimension(f"compositions of different sizes: {a.n} vs {b.n}")
     equal = a.parts == b.parts

@@ -52,6 +52,11 @@ EXIT_NOT_JORDAN = 4
 EXIT_REPEATED_EIGENVALUES = 5
 EXIT_NOT_IN_ALGEBRA = 6
 
+# Largest --budget, the number of random probes each check of verify and
+# gallery draws. It bounds a run: at the cap, verify on a d = 160 map and each
+# gallery suite take 10-20 s (gallery compares budget^2 / 2 pairs of images).
+MAX_BUDGET = 10_000
+
 
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
@@ -160,6 +165,8 @@ def _budget(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    if value > MAX_BUDGET:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_BUDGET}, got {text!r}")
     return value
 
 

@@ -252,13 +252,9 @@ def solve_sylvester_diagonal(d1, d2, c: np.ndarray) -> np.ndarray:
     return c / gaps
 
 
-def spectral_norm(a: np.ndarray, *, return_info: bool = False):
-    """Largest singular value, from LAPACK's singular values.
-
-    With return_info=True, returns (value, True); LAPACK's failure to
-    converge raises NoConvergence.
-    """
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value, from LAPACK's singular values; LAPACK's
+    failure to converge raises NoConvergence."""
     a = as_matrix(a)
-    value = float(_lapack("svd", a, compute_uv=False)[0]) if a.size else 0.0
-    return (value, True) if return_info else value
+    return float(_lapack("svd", a, compute_uv=False)[0]) if a.size else 0.0
 

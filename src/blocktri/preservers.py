@@ -77,19 +77,28 @@ def _check(probes, residuals, tol: float) -> CheckResult:
     return CheckResult(ok=tally.ok, worst=tally.worst, witnesses=tally.witnesses)
 
 
+def char_poly_gap(a: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """The char-poly residual of each input of a (k, n, n) stack against its
+    image: the largest coefficient gap, the x^k one scaled by max(1, ||A||_F)^(n-k)."""
+    n = a.shape[-1]
+    diff = char_poly(fa) - char_poly(a)
+    scale = np.maximum(1.0, frobenius(a))[:, None] ** (n - np.arange(n + 1))
+    return np.max(np.abs(diff) / scale, axis=-1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def commutator_gap(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """||[F_A, F_B]||_F / max(1, ||F_A||_F ||F_B||_F) for each pair of two (k, n, n) stacks."""
+    return frobenius(fa @ fb - fb @ fa) / np.maximum(1.0, frobenius(fa) * frobenius(fb))
+
+
 def check_char_poly_preserving(
     m, algebra=None, *, samples: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
-    """Compare char polys coefficientwise, the x^k one scaled by max(1, ||A||_F)^(n-k)."""
+    """Compare char polys coefficientwise (``char_poly_gap``)."""
     alg, fn = _as_evaluator(m, algebra)
     rng = np.random.default_rng(seed)
-
-    def residuals(a):
-        diff = char_poly(fn(a)) - char_poly(a)
-        scale = np.maximum(1.0, frobenius(a))[:, None] ** (alg.n - np.arange(alg.n + 1))
-        return np.max(np.abs(diff) / scale, axis=-1)
-
-    return _check(_probe_elements(alg, samples, rng), residuals, tol)
+    return _check(_probe_elements(alg, samples, rng), lambda a: char_poly_gap(a, fn(a)), tol)
 
 
 def check_spectrum_shrinking(
@@ -108,6 +117,7 @@ def check_spectrum_shrinking(
     return _check(_probe_elements(alg, samples, rng), residuals, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_commutativity_preserving(
     m, algebra=None, *, pairs: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
@@ -126,13 +136,9 @@ def check_commutativity_preserving(
     tally = Tally(tol)
     tally.add(unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]]))
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def residuals(ab):
-        fa, fb = fn(ab[:, 0]), fn(ab[:, 1])
-        return frobenius(fa @ fb - fb @ fa) / np.maximum(1.0, frobenius(fa) * frobenius(fb))
-
     for stack in probe_chunks(np.stack(random_commuting_pair(alg, rng)) for _ in range(pairs)):
-        tally.add(residuals(stack), lambda i: (stack[i, 0].copy(), stack[i, 1].copy()))
+        res = commutator_gap(fn(stack[:, 0]), fn(stack[:, 1]))
+        tally.add(res, lambda i: (stack[i, 0].copy(), stack[i, 1].copy()))
     return CheckResult(ok=tally.ok, worst=tally.worst, witnesses=tally.witnesses)
 
 

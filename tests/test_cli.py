@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blocktri import (
+    GALLERY,
     AlgebraMap,
     InvalidDocument,
     NotFinite,
@@ -16,7 +17,7 @@ from blocktri import (
     block_projection,
     build_form_map,
 )
-from blocktri.cli import main
+from blocktri.cli import MAX_BUDGET, main
 from blocktri.documents import (
     canonical_json,
     map_from_document,
@@ -388,6 +389,15 @@ class TestEnvelope:
         assert captured.out == ""
         assert "argument --budget: must be a non-negative integer, got '-5'" in captured.err
 
+    @pytest.mark.parametrize("argv", [["verify", "map.json"], ["gallery", "det_twist"]])
+    def test_budget_above_cap(self, capsys, argv):
+        over = str(MAX_BUDGET + 1)
+        assert main(argv + ["--budget", over]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --budget: must be at most {MAX_BUDGET}, got '{over}'" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestDiagonalizeCommand:
     def _write(self, tmp_path, matrix):
@@ -457,10 +467,11 @@ class TestGalleryCommand:
     def test_unknown_name(self, capsys):
         assert main(["gallery", "made_up"]) == 2
 
-    def test_deterministic_bytes(self, capsys):
-        main(["gallery", "eigen_swap", "--budget", "10", "--seed", "2"])
+    @pytest.mark.parametrize("name", list(GALLERY))
+    def test_deterministic_bytes(self, capsys, name):
+        main(["gallery", name, "--budget", "10", "--seed", "2"])
         first = capsys.readouterr().out
-        main(["gallery", "eigen_swap", "--budget", "10", "--seed", "2"])
+        main(["gallery", name, "--budget", "10", "--seed", "2"])
         assert capsys.readouterr().out == first
 
 

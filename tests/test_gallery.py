@@ -27,6 +27,8 @@ from blocktri.linalg import char_poly, frobenius
 
 from conftest import gaussian
 
+HYPOTHESES = ("continuous", "injective", "commutativity_preserving", "spectrum_preserving")
+
 
 def unit(n, i, j):
     e = np.zeros((n, n), dtype=np.complex128)
@@ -242,3 +244,27 @@ class TestGallerySuites:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             run_gallery_suite("nope")
+
+    def test_same_keys_on_every_row(self):
+        keys = {name: set(run_gallery_suite(name, budget=5, seed=0)["properties"]) for name in GALLERY}
+        assert all(k == keys["mobius_contraction"] for k in keys.values())
+        assert keys["mobius_contraction"] == set(HYPOTHESES) | {"linear", "jordan", "recovery_rejects"}
+
+    def test_eigen_swap_linearity_pair(self):
+        # random probes are never exactly diagonal, so eigen_swap fixes them all;
+        # only the diagonal linearity witness shows it is not linear
+        props = run_gallery_suite("eigen_swap", budget=25, seed=5)["properties"]
+        assert props["linear"]["holds"] is False
+        assert props["jordan"]["holds"] is False
+        assert props["recovery_rejects"]["holds"] is True
+
+    @pytest.mark.parametrize("budget", [15, 100])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hypothesis_matrix(self, seed, budget):
+        # each map breaks exactly its own hypothesis, and the conclusion fails
+        for name, spec in GALLERY.items():
+            props = run_gallery_suite(name, budget=budget, seed=seed)["properties"]
+            assert spec.violated_property in HYPOTHESES
+            for hypothesis in HYPOTHESES:
+                assert props[hypothesis]["holds"] is (hypothesis != spec.violated_property), (name, hypothesis)
+            assert props["jordan"]["holds"] is False or props["recovery_rejects"]["holds"] is True
