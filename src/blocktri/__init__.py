@@ -48,7 +48,6 @@ from .errors import (
     NotTriangular,
     RepeatedEigenvalues,
     Singular,
-    SpectraOverlap,
     WrongAlgebra,
 )
 from .gallery import (
@@ -66,7 +65,6 @@ from .linalg import (
     eigenvalues,
     inverse,
     schur,
-    solve_sylvester_diagonal,
     spectral_norm,
 )
 from .maps import (

@@ -1,10 +1,10 @@
 """Constructive canonical forms inside a block algebra.
 
 Three constructions: diagonalization of a distinct-eigenvalue matrix by a
-similarity taken inside its own algebra (LAPACK eigenvectors of each diagonal
-block, glued with diagonal Sylvester solves), normalization of a rank-one
-triangular idempotent to a conjugated diagonal unit, and the rank-one shear
-family I + e_0 y^t with its closed-form conjugation identities.
+similarity inside its own algebra (each column a LAPACK eigenvector of its
+diagonal block, extended upward by a linear solve), a closed-form similarity
+taking a diagonal unit to a rank-one triangular idempotent, and the rank-one
+shear family I + e_0 y^t with its closed-form conjugation identities.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .linalg import (
     frobenius,
     identity,
     inverse,
-    solve_sylvester_diagonal,
 )
 
 RANK_ONE_REL = 1e-8
@@ -76,59 +75,27 @@ def _eigenvector_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs / vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)], lams
 
 
-def _constrained_eigenvector_matrix(a: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base case under the constraint: a commutes with E_ss.
+def _diagonalize_parts(parts: tuple[int, ...], a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, diag) for a distinct-eigenvalue member of the algebra of ``parts``.
 
-    The s-th row and column of ``a`` vanish off the diagonal, so the
-    complement block is diagonalized and embedded around an exact 1 at (s, s).
+    Each column of T is an eigenvector of ``a``: on its own diagonal block, that
+    block's eigenvector w (eigenvalue lam); below it, zero; above it, the z with
+    (A[:lo, :lo] - lam I) z = -A[:lo, block] w (one batched solve per block).
     """
-    n = a.shape[0]
-    others = [k for k in range(n) if k != s]
-    sub = a[np.ix_(others, others)]
-    sub_vecs, sub_lams = _eigenvector_matrix(sub)
-    t = np.zeros((n, n), dtype=np.complex128)
-    t[s, s] = 1.0
-    t[np.ix_(others, others)] = sub_vecs
-    return t, np.insert(sub_lams, s, a[s, s])
-
-
-def _diagonalize_parts(
-    parts: tuple[int, ...], a: np.ndarray, constraint: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive worker returning (T, diag) with exact zeros off the support."""
-    if len(parts) == 1:
-        if constraint is None:
-            return _eigenvector_matrix(a)
-        return _constrained_eigenvector_matrix(a, constraint)
-    k1 = parts[0]
-    a11 = a[:k1, :k1]
-    a12 = a[:k1, k1:]
-    a22 = a[k1:, k1:]
-    c_first = constraint if constraint is not None and constraint < k1 else None
-    c_rest = constraint - k1 if constraint is not None and constraint >= k1 else None
-    s1, d1 = _diagonalize_parts((k1,), a11, c_first)
-    s2, d2 = _diagonalize_parts(parts[1:], a22, c_rest)
-    b12 = inverse(s1) @ a12 @ s2
-    if c_first is not None:
-        # the constrained row of the Sylvester solution is zero by the
-        # commutation relation; solve only the complementary rows
-        x = np.zeros_like(b12)
-        rows = [r for r in range(k1) if r != c_first]
-        if rows:
-            x[rows, :] = solve_sylvester_diagonal(d1[rows], d2, b12[rows, :])
-    elif c_rest is not None:
-        x = np.zeros_like(b12)
-        cols = [c for c in range(a22.shape[0]) if c != c_rest]
-        if cols:
-            x[:, cols] = solve_sylvester_diagonal(d1, d2[cols], b12[:, cols])
-    else:
-        x = solve_sylvester_diagonal(d1, d2, b12)
-    n = a.shape[0]
-    t = np.zeros((n, n), dtype=np.complex128)
-    t[:k1, :k1] = s1
-    t[:k1, k1:] = s1 @ x
-    t[k1:, k1:] = s2
-    return t, np.concatenate([d1, d2])
+    t = np.zeros_like(a)
+    d = np.empty(len(a), dtype=np.complex128)
+    lo = 0
+    for k in parts:
+        hi = lo + k
+        w, lams = _eigenvector_matrix(a[lo:hi, lo:hi])
+        t[lo:hi, lo:hi] = w
+        d[lo:hi] = lams
+        if lo:
+            shifted = a[:lo, :lo] - lams[:, None, None] * identity(lo)
+            rhs = -(a[:lo, lo:hi] @ w).T[..., None]
+            t[:lo, lo:hi] = _lapack("solve", shifted, rhs)[..., 0].T
+        lo = hi
+    return t, d
 
 
 def diagonalize_in_algebra(
@@ -136,11 +103,10 @@ def diagonalize_in_algebra(
 ) -> InAlgebraDiagonalization:
     """Diagonalize a distinct-eigenvalue member of the algebra within it.
 
-    Splits along the first block, diagonalizes the leading full block and the
-    trailing block algebra recursively, and glues with the shear solving the
-    diagonal Sylvester equation. With ``constraint`` = s (0-based), the input
-    must commute with E_ss and the returned T commutes with E_ss exactly and
-    has t[s, s] = 1.
+    T is built column by column from eigenvectors of ``a`` that vanish below
+    their own diagonal block, so it lies in the algebra. With ``constraint`` =
+    s (0-based), the input must commute with E_ss and the returned T commutes
+    with E_ss exactly and has t[s, s] = 1.
     """
     algebra = block_algebra(algebra)
     a = as_matrix(a, square=True)
@@ -152,14 +118,25 @@ def diagonalize_in_algebra(
     np.fill_diagonal(gaps, np.inf)
     if float(np.min(gaps)) <= EIGENVALUE_GAP_REL * max(1.0, scale):
         raise RepeatedEigenvalues("eigenvalue gap below the distinctness policy")
-    if constraint is not None:
+    if constraint is None:
+        t, d = _diagonalize_parts(algebra.parts, a)
+    else:
         if not 0 <= constraint < algebra.n:
             raise ConstraintViolated(f"constraint index {constraint} out of range")
         e = np.zeros_like(a)
         e[constraint, constraint] = 1.0
         if frobenius(a @ e - e @ a) > 1e-10 * max(scale, 1.0):
             raise ConstraintViolated("input does not commute with the diagonal unit")
-    t, d = _diagonalize_parts(algebra.parts, a, constraint)
+        # the constrained row and column vanish off the diagonal: delete that index
+        # (its block shrinks by one, or goes), diagonalize the rest, embed it around 1
+        keep = np.delete(np.arange(algebra.n), constraint)
+        block_of = np.repeat(np.arange(len(algebra.parts)), algebra.parts)
+        parts = tuple(k for k in np.bincount(block_of[keep]) if k)
+        sub_t, sub_d = _diagonalize_parts(parts, a[np.ix_(keep, keep)])
+        t = np.zeros_like(a)
+        t[constraint, constraint] = 1.0
+        t[np.ix_(keep, keep)] = sub_t
+        d = np.insert(sub_d, constraint, a[constraint, constraint])
     inverse(t)  # validates conditioning; raises Singular/IllConditioned
     return InAlgebraDiagonalization(algebra=algebra, similarity=t, diagonal=d)
 
@@ -173,35 +150,14 @@ def _top_two_singular_values(r: np.ndarray) -> tuple[float, float]:
     return s1, s2
 
 
-def _idempotent_rec(r: np.ndarray) -> tuple[np.ndarray, int]:
-    n = r.shape[0]
-    if n == 1:
-        return identity(1), 0
-    if abs(r[n - 1, n - 1]) < 0.5:
-        # last row vanishes: recurse on the leading block, then absorb the
-        # residual last-column entry with a rank-one shear
-        t1, i = _idempotent_rec(r[: n - 1, : n - 1])
-        big = identity(n)
-        big[: n - 1, : n - 1] = t1
-        m = inverse(big) @ r @ big
-        alpha = m[i, n - 1]
-        shear_inv = identity(n)
-        shear_inv[i, n - 1] = -alpha
-        return np.triu(big @ shear_inv), i
-    # nonzero last diagonal entry: the idempotent is supported in the last
-    # column, r = v e_n^t with v[n-1] = 1 after normalization
-    v = r[:, n - 1] / r[n - 1, n - 1]
-    t = identity(n)
-    t[: n - 1, n - 1] = v[: n - 1]
-    return t, n - 1
-
-
 def triangular_idempotent_form(r: np.ndarray) -> IdempotentForm:
     """Write a rank-one upper-triangular idempotent as T E_ii T^{-1}.
 
-    T is upper-triangular and invertible; the index i (0-based) locates the
-    diagonal unit. Validates triangularity, idempotency, and numerical rank
-    one before recursing.
+    T is upper-triangular with a unit diagonal; the index i (0-based) is that
+    of the largest |r_ii| and locates the diagonal unit. Validates
+    triangularity, idempotency, and numerical rank one first. Then
+    T = I + x e_i^t - e_i y^t - x y^t with x = r[:i, i] / r_ii and
+    y = r[i, i+1:] / r_ii: T e_i = r e_i / r_ii and e_i^t T^{-1} = e_i^t r / r_ii.
     """
     r = as_matrix(r, square=True)
     scale = frobenius(r)
@@ -213,7 +169,11 @@ def triangular_idempotent_form(r: np.ndarray) -> IdempotentForm:
     s1, s2 = _top_two_singular_values(r)
     if s1 == 0.0 or s2 > RANK_ONE_REL * s1:
         raise NotRankOne("second singular value exceeds the rank-one threshold")
-    t, i = _idempotent_rec(np.triu(r))
+    i = int(np.argmax(np.abs(r.diagonal())))
+    t = identity(r.shape[0])
+    t[:i, i] = r[:i, i] / r[i, i]
+    t[i, i + 1 :] = -r[i, i + 1 :] / r[i, i]
+    t[:i, i + 1 :] = np.outer(t[:i, i], t[i, i + 1 :])
     return IdempotentForm(similarity=t, index=i)
 
 

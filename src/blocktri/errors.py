@@ -25,10 +25,6 @@ class NoConvergence(BlockTriError):
     """An iteration failed to converge within its sweep cap."""
 
 
-class SpectraOverlap(BlockTriError):
-    """The diagonal coefficient spectra of a Sylvester equation overlap."""
-
-
 class RepeatedEigenvalues(BlockTriError):
     """Eigenvalues are closer than the distinctness gap policy allows."""
 

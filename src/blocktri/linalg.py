@@ -1,14 +1,13 @@
 """Dense complex linear algebra at desk scale (n <= 16).
 
-All matrices are plain numpy arrays of complex128. Eigenvalues,
+All matrices are plain numpy arrays of complex128. Eigenvalues, linear solves,
 eigenvectors, singular values and well-conditioned inverses come from LAPACK
 (``numpy.linalg``, only ever called from this module). Schur forms deflate
 one LAPACK eigenvalue at a time with the null vector from a LAPACK SVD and a
 Householder reflector. The rest is self-contained: Gauss-Jordan inversion
 with partial pivoting (the fallback that decides Singular and
-IllConditioned), the Faddeev-LeVerrier recursion for characteristic
-polynomials, and an entrywise solver for Sylvester equations with diagonal
-coefficients. ``eigenvalues``, ``char_poly`` and ``frobenius`` also take
+IllConditioned) and the Faddeev-LeVerrier recursion for characteristic
+polynomials. ``eigenvalues``, ``char_poly`` and ``frobenius`` also take
 (..., n, n) stacks of matrices.
 """
 
@@ -24,7 +23,6 @@ from .errors import (
     NoConvergence,
     NotFinite,
     Singular,
-    SpectraOverlap,
 )
 
 SINGULAR_PIVOT_REL = 1e-12
@@ -32,7 +30,6 @@ CONDITION_BOUND = 1e12
 SCHUR_LOWER_EPS = 64
 FROBENIUS_LO, FROBENIUS_HI = 1e-150, 1e150
 EIGENVALUE_GAP_REL = 1e-6
-SYLVESTER_GAP_REL = 1e-9
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -227,29 +224,6 @@ def _lapack(name: str, *args, **kwargs):
         return getattr(np.linalg, name)(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK {name} did not converge: {exc}") from exc
-
-
-def solve_sylvester_diagonal(d1, d2, c: np.ndarray) -> np.ndarray:
-    """Solve X diag(d2) - diag(d1) X = C entrywise: X[i,j] = C[i,j]/(d2[j]-d1[i]).
-
-    Raises SpectraOverlap when some gap |d2[j] - d1[i]| falls below
-    1e-9 * (max|d1| + max|d2|), the quantified form of the disjoint-spectra
-    hypothesis.
-    """
-    d1 = np.asarray(d1, dtype=np.complex128).ravel()
-    d2 = np.asarray(d2, dtype=np.complex128).ravel()
-    c = as_matrix(c)
-    if c.shape != (d1.size, d2.size):
-        raise MismatchedDimension(
-            f"coefficient block {c.shape} does not match diagonals ({d1.size}, {d2.size})"
-        )
-    if c.size == 0:
-        return c.copy()
-    gaps = d2[None, :] - d1[:, None]
-    thr = SYLVESTER_GAP_REL * (float(np.max(np.abs(d1))) + float(np.max(np.abs(d2))))
-    if float(np.min(np.abs(gaps))) <= thr:
-        raise SpectraOverlap("diagonal spectra are not separated")
-    return c / gaps
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -69,14 +69,18 @@ class JordanForm:
 
 @dataclass(frozen=True)
 class AlgebraMap:
-    """A linear map from a block algebra into M_n, in cell-basis coordinates;
-    ``coefficients`` is a read-only copy, so the cached ``unit_pairs`` stay valid."""
+    """A linear map from a block algebra into M_n, in cell-basis coordinates:
+    ``coefficients`` has shape (n^2, dim), or MismatchedDimension is raised. It is
+    a read-only copy, so the cached ``unit_pairs`` stay valid."""
 
     domain: BlockAlgebra
     coefficients: np.ndarray
 
     def __post_init__(self):
         coefficients = np.array(self.coefficients)
+        expected = (self.domain.n**2, self.domain.dim)
+        if coefficients.shape != expected:
+            raise MismatchedDimension(f"coefficients have shape {coefficients.shape}, expected {expected}")
         coefficients.setflags(write=False)
         object.__setattr__(self, "coefficients", coefficients)
 

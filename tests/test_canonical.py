@@ -106,6 +106,10 @@ class TestDiagonalize:
             ((4, 4, 4, 4), 15),
             ((1,) * 16, 9),
             ((16,), 11),
+            # the constrained block vanishes once index s is deleted
+            ((2, 1, 2), 2),
+            ((1,), 0),
+            ((3, 1), 3),
         ],
     )
     def test_constrained(self, rng, parts, s):
@@ -197,7 +201,7 @@ class TestTriangularIdempotentForm:
         recon = form.similarity @ unit(3, 2, 2) @ inverse(form.similarity)
         assert frobenius(recon - r) <= 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_round_trip(self, rng, n):
         for _ in range(5):
             i = int(rng.integers(0, n))

@@ -1,9 +1,13 @@
 """JSON document schemas and the command-line contract."""
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from blocktri import (
     GALLERY,
@@ -398,6 +402,27 @@ class TestEnvelope:
         assert f"argument --budget: must be at most {MAX_BUDGET}, got '{over}'" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [["recover", "map.json"], ["verify", "map.json"], ["gallery", "det_twist"]])
+    @pytest.mark.parametrize("seed", ["-1", "-7", "abc", "1.5", ""])
+    def test_seed_rejected(self, capsys, argv, seed):
+        assert main(argv + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: must be a non-negative integer, got {seed!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "-0.0", "abc", "1e999"])
+    def test_tol_rejected(self, capsys, tol):
+        assert main(["verify", "map.json", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: must be a finite positive number, got {tol!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_tol_accepted(self, identity_map_file, capsys):
+        assert main(["verify", identity_map_file, "--budget", "3", "--tol", "1e-300"]) == 0
+        assert json.loads(capsys.readouterr().out)["spectrum_preserving"] is True
+
 
 class TestDiagonalizeCommand:
     def _write(self, tmp_path, matrix):
@@ -481,3 +506,70 @@ class TestArgumentErrors:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Documents the argv fuzz points at: map and matrix files, plus a missing path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    alg = block_algebra((1, 2))
+    jordan = build_form_map(alg, JordanForm(Orientation.INNER, bounded_similarity((1, 2), np.random.default_rng(0))))
+    maps = {"jordan.json": jordan, "projection.json": algebra_map_from_function(alg, lambda x: block_projection(alg, x))}
+    matrices = {
+        "upper.json": np.triu(np.arange(1.0, 10.0).reshape(3, 3)),
+        "repeated.json": np.diag([1.0, 1.0, 2.0]),
+        "dense.json": np.arange(1.0, 10.0).reshape(3, 3),
+        "one.json": np.eye(1),
+    }
+    for name, m in maps.items():
+        (root / name).write_text(canonical_json(map_to_document(m)), encoding="utf-8")
+    for name, m in matrices.items():
+        (root / name).write_text(canonical_json(matrix_to_document(m.astype(complex))), encoding="utf-8")
+    missing = str(root / "missing.json")
+    return [str(root / name) for name in maps] + [missing], [str(root / name) for name in matrices] + [missing]
+
+
+JUNK = st.text(alphabet="0123456789,.-+eEinfa x", max_size=6)
+COMPOSITION = st.one_of(
+    st.sampled_from(["1", "3", "1,2", "2,1", "1,1,1"]),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4).map(lambda p: ",".join(map(str, p))),
+    JUNK,
+)
+SEED = st.one_of(st.integers(-3, 3).map(str), st.integers(0, 2**70).map(str), JUNK)
+BUDGET = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["10001", "1e3", "nan", "x"]), JUNK)
+TOL = st.one_of(st.floats().map(repr), st.sampled_from(["inf", "-1", "0"]), JUNK)
+CONSTRAINT = st.one_of(st.integers(-3, 5).map(str), JUNK)
+
+
+def _option(name, values):
+    """Nothing, or one ``--name=value`` argument (``=`` lets a value start with '-')."""
+    return st.one_of(st.just(()), values.map(lambda v: (f"{name}={v}",)))
+
+
+def _argv(map_files, matrix_files):
+    maps, matrices = st.sampled_from(map_files), st.sampled_from(matrix_files)
+    budget = BUDGET.map(lambda b: (f"--budget={b}",))  # always given, so a valid budget stays <= 5
+    name = st.one_of(st.sampled_from(list(GALLERY)), JUNK)
+    commands = st.one_of(
+        st.tuples(st.just("embed-check"), COMPOSITION, COMPOSITION, st.sampled_from([(), ("--json",)])),
+        st.tuples(st.just("recover"), maps, _option("--seed", SEED)),
+        st.tuples(st.just("verify"), maps, budget, _option("--seed", SEED), _option("--tol", TOL)),
+        st.tuples(st.just("diagonalize"), COMPOSITION, matrices, _option("--constraint", CONSTRAINT)),
+        st.tuples(st.just("gallery"), name, budget, _option("--seed", SEED)),
+    )
+    return commands.map(lambda parts: [a for p in parts for a in ((p,) if isinstance(p, str) else p)])
+
+
+class TestArgvFuzz:
+    """Any argv of the five subcommands exits with a contract code, never a traceback."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_contract_exit_codes(self, fuzz_files, data):
+        argv = data.draw(_argv(*fuzz_files), label="argv")
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        event(f"{argv[0]} exits {code}")
+        assert code in {0, 2, 3, 4, 5, 6}, (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

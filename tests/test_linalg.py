@@ -5,26 +5,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 import blocktri
 from blocktri import (
     IllConditioned,
-    MismatchedDimension,
     NoConvergence,
     NotFinite,
     SchurForm,
     Singular,
-    SpectraOverlap,
     block_algebra,
     char_poly,
     eigenvalues,
     inverse,
     random_element,
     schur,
-    solve_sylvester_diagonal,
     spectral_norm,
 )
 from blocktri.linalg import CONDITION_BOUND, _gauss_jordan, frobenius
@@ -153,53 +148,6 @@ class TestSchur:
     def test_is_dataclass(self):
         form = schur(np.eye(2))
         assert isinstance(form, SchurForm)
-
-
-class TestSylvester:
-    def test_zero_rhs(self):
-        x = solve_sylvester_diagonal([1.0, 2.0], [4.0, 5.0, 6.0], np.zeros((2, 3)))
-        assert np.array_equal(x, np.zeros((2, 3)))
-
-    def test_scalar_case(self):
-        x = solve_sylvester_diagonal([1.0], [2.0], np.array([[3.5 + 1j]]))
-        assert np.array_equal(x, np.array([[3.5 + 1j]]))
-
-    def test_residual(self, rng):
-        d1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        d2 = rng.standard_normal(4) + 1j * rng.standard_normal(4) + 10.0
-        c = gaussian(rng, 3, 4)
-        x = solve_sylvester_diagonal(d1, d2, c)
-        residual = x @ np.diag(d2) - np.diag(d1) @ x - c
-        assert frobenius(residual) <= 1e-12 * frobenius(c)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(SpectraOverlap):
-            solve_sylvester_diagonal([1.0, 2.0], [2.0, 3.0], np.ones((2, 2)))
-        with pytest.raises(SpectraOverlap):
-            solve_sylvester_diagonal([0.0], [0.0], np.ones((1, 1)))
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        k=st.integers(min_value=1, max_value=6),
-        m=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_residual_property(self, k, m, seed):
-        # on every accepted input the residual stays below 1e-12 * |C|
-        r = np.random.default_rng(seed)
-        d1 = r.standard_normal(k) + 1j * r.standard_normal(k)
-        d2 = r.standard_normal(m) + 1j * r.standard_normal(m)
-        c = gaussian(r, k, m)
-        try:
-            x = solve_sylvester_diagonal(d1, d2, c)
-        except SpectraOverlap:
-            return
-        residual = x @ np.diag(d2) - np.diag(d1) @ x - c
-        assert frobenius(residual) <= 1e-12 * frobenius(c)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(MismatchedDimension):
-            solve_sylvester_diagonal([1.0], [2.0, 3.0], np.ones((2, 2)))
 
 
 class TestSpectralNorm:

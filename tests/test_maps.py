@@ -6,6 +6,7 @@ import pytest
 from blocktri import (
     AlgebraMap,
     JordanForm,
+    MismatchedDimension,
     NotJordanEmbedding,
     Orientation,
     Singular,
@@ -61,6 +62,14 @@ class TestBuildFormMap:
         alg = block_algebra((1, 1))
         with pytest.raises(Singular):
             build_form_map(alg, JordanForm(Orientation.INNER, np.zeros((2, 2))))
+
+
+class TestAlgebraMapShape:
+    @pytest.mark.parametrize("shape", [(9, 4), (9, 8), (7, 9), (3, 7), (63,), (9, 7, 1), (0, 7)])
+    def test_wrong_shape_rejected(self, shape):
+        # (1,2) has n = 3 and dim 7: the coefficients must be 9 x 7
+        with pytest.raises(MismatchedDimension, match=r"expected \(9, 7\)"):
+            AlgebraMap(block_algebra((1, 2)), np.zeros(shape))
 
 
 class TestApply:
