@@ -35,7 +35,6 @@ from .canonical import (
 from .errors import (
     BlockTriError,
     ConstraintViolated,
-    Degenerate,
     IllConditioned,
     InvalidDocument,
     MismatchedDimension,
@@ -77,6 +76,7 @@ from .maps import (
     apply_batch,
     build_form_map,
     evaluate_form,
+    form_residual,
     is_jordan,
     orientation_feasible,
     recover_form,

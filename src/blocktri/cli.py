@@ -13,8 +13,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .algebra import (
     Embedding,
     block_algebra,
@@ -23,7 +21,6 @@ from .algebra import (
     parse_composition,
     project,
     embeds,
-    random_element,
 )
 from .canonical import diagonalize_in_algebra
 from .documents import (
@@ -33,15 +30,9 @@ from .documents import (
     matrix_from_document,
     matrix_to_document,
 )
-from .errors import (
-    BlockTriError,
-    Degenerate,
-    NotJordanEmbedding,
-    RepeatedEigenvalues,
-)
+from .errors import BlockTriError, NotJordanEmbedding, RepeatedEigenvalues
 from .gallery import GALLERY, run_gallery_suite
-from .linalg import frobenius
-from .maps import apply_batch, evaluate_form, recover_form
+from .maps import form_residual, recover_form
 from .preservers import full_report
 
 EXIT_OK = 0
@@ -83,18 +74,15 @@ def _cmd_embed_check(args) -> int:
 def _cmd_recover(args) -> int:
     m = map_from_document(load_json(args.map_file))
     try:
-        form = recover_form(m, seed=args.seed)
-    except (NotJordanEmbedding, Degenerate) as exc:
+        form = recover_form(m)
+    except NotJordanEmbedding as exc:
         return _fail(EXIT_NOT_JORDAN, f"recover: not a Jordan embedding: {exc}")
-    rng = np.random.default_rng(args.seed)
-    xs = np.stack([random_element(m.domain, rng) for _ in range(20)])
-    residuals = frobenius(apply_batch(m, xs) - evaluate_form(form, xs)) / np.maximum(1.0, frobenius(xs))
     sys.stdout.write(
         canonical_json(
             {
                 "orientation": form.orientation.value,
                 "T": matrix_to_document(form.t)["entries"],
-                "residual": float(np.max(residuals)),
+                "residual": form_residual(m, form),
             }
         )
     )
@@ -192,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover the similarity behind a linear map document")
     p.add_argument("map_file")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser("verify", help="run the preserver-property report on a map document")

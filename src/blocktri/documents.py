@@ -84,7 +84,7 @@ def matrix_from_document(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise InvalidDocument("matrix document needs 'n' and 'entries'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidDocument(f"bad matrix size {n!r}")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n:
@@ -145,5 +145,7 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: malformed JSON, bytes that are not UTF-8, an integer of more
+    # than 4,300 digits; RecursionError: arrays nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidDocument(f"cannot read {path}: {exc}") from exc

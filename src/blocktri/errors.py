@@ -57,9 +57,5 @@ class NotJordanEmbedding(BlockTriError):
     """The linear map failed a structural or verification check of recovery."""
 
 
-class Degenerate(BlockTriError):
-    """Randomized probing exhausted its retries."""
-
-
 class InvalidDocument(BlockTriError):
     """A JSON document does not match its schema."""

@@ -5,7 +5,8 @@ domain's support-cell basis; images are full n x n matrices read off by a
 row-major embedding, so the codomain is all of M_n. The two model maps are
 X -> T X T^{-1} and X -> T X^t T^{-1}; ``recover_form`` reconstructs the
 orientation and a canonical T from any map that actually is of one of these
-forms, and rejects everything else.
+forms, and rejects everything else. It draws no random numbers: T is read off
+the matrix-unit images and certified on all of them (``form_residual``).
 
 Probes are evaluated as stacks: ``apply_batch`` maps a (k, n, n) stack with
 one product, ``probe_chunks`` streams a probe sequence in stacks of at most
@@ -27,13 +28,13 @@ import numpy as np
 
 from .algebra import (
     BlockAlgebra,
+    Embedding,
     block_algebra,
-    flip_algebra,
+    embeds,
     matrix_units,
     random_element,
 )
 from .errors import (
-    Degenerate,
     IllConditioned,
     MismatchedDimension,
     NotFinite,
@@ -43,8 +44,6 @@ from .errors import (
 )
 from .linalg import as_matrix, frobenius, identity, inverse, spectral_norm
 
-RECOVERY_SEED = 0x1D4A
-VERIFY_SAMPLES = 50
 VERIFY_REL = 1e-7
 OFF_CELL_REL = 1e-8
 PROBE_CHUNK = 32  # matrices per stacked evaluation; bounds every probe loop's memory
@@ -147,16 +146,12 @@ def apply(m: AlgebraMap, x: np.ndarray) -> np.ndarray:
     return apply_batch(m, as_matrix(x)[None])[0]
 
 
-def _form_image(orientation: Orientation, t: np.ndarray, tinv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if orientation is Orientation.ANTI_TRANSPOSE:
-        x = np.swapaxes(x, -1, -2)
-    return t @ x @ tinv
-
-
 def evaluate_form(form: JordanForm, x: np.ndarray) -> np.ndarray:
     """Evaluate the form directly by conjugation (independent of AlgebraMap),
     on a matrix or on a (k, n, n) stack."""
-    return _form_image(form.orientation, form.t, inverse(form.t), x)
+    if form.orientation is Orientation.ANTI_TRANSPOSE:
+        x = np.swapaxes(x, -1, -2)
+    return form.t @ x @ inverse(form.t)
 
 
 def probe_chunks(probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
@@ -271,16 +266,21 @@ def orientation_feasible(algebra, orientation: Orientation, codomain=None) -> bo
     """
     if codomain is None:
         return True
-    algebra = block_algebra(algebra)
-    codomain = block_algebra(codomain)
-    if algebra.n != codomain.n:
-        raise MismatchedDimension("algebra and codomain sizes differ")
-    source = algebra if orientation is Orientation.INNER else flip_algebra(algebra)
-    return not np.any(source.support & ~codomain.support)
+    own = Embedding.INNER_ONLY if orientation is Orientation.INNER else Embedding.ANTI_ONLY
+    return embeds(algebra, codomain) in (own, Embedding.BOTH)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
+def form_residual(m: AlgebraMap, form: JordanForm) -> float:
+    """The largest ||phi(E_p) - form(E_p)||_F over all matrix units E_p of the
+    map's domain; inf unless every gap is finite. A linear map is fixed by its
+    unit images, so this certifies the form on the whole algebra."""
+    gaps = frobenius(m.unit_images() - build_form_map(m.domain, form).unit_images())
+    return float(np.max(gaps)) if np.all(np.isfinite(gaps)) else np.inf
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def recover_form(m: AlgebraMap) -> JordanForm:
     """Recover (orientation, T) from a map of the form X -> T X T^{-1} or
     X -> T X^t T^{-1}.
 
@@ -288,46 +288,35 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
     are pairwise orthogonal and sum to the identity; their ranges assemble a
     similarity S, after which every unit image must concentrate on a single
     cell with consistent orientation. A diagonal rescaling anchored at the
-    first row fixes T, which is then certified against the map on random
-    samples. Any failure raises NotJordanEmbedding.
+    first row fixes T, which is then certified against the map on every
+    matrix unit (``form_residual``). No step draws random numbers. Any
+    failure raises NotJordanEmbedding.
     """
     alg = m.domain
     n = alg.n
-    cell_index = {cell: k for k, cell in enumerate(alg.cells)}
     images = m.unit_images()
     overall = max(float(np.fmax.reduce(frobenius(images))), 1e-300)  # fmax: a NaN norm never sets it
 
     # (1) diagonal-unit images: orthogonal rank-one idempotents summing to I;
-    # each test fails on NaN, and p @ w in (2) rounds differently on copies
-    proj = [m.unit_image(cell_index[(i, i)]) for i in range(n)]
+    # each test fails on NaN, and the first failing unit is named
+    proj = images[alg.cell_rows == alg.cell_cols]  # P_i = phi(E_ii), i = 0..n-1
     tol_struct = 1e-6
-    total = np.zeros((n, n), dtype=np.complex128)
-    for i, p in enumerate(proj):
-        if not frobenius(p @ p - p) <= tol_struct * max(1.0, np.square(frobenius(p))):  # inf, not OverflowError
-            raise NotJordanEmbedding(f"image of diagonal unit {i} is not idempotent")
-        if not abs(np.trace(p) - 1.0) <= tol_struct:
-            raise NotJordanEmbedding(f"image of diagonal unit {i} is not rank one")
-        total += p
-    if not frobenius(total - identity(n)) <= tol_struct * n:
+    not_idempotent = ~(frobenius(proj @ proj - proj) <= tol_struct * np.maximum(1.0, np.square(frobenius(proj))))
+    not_rank_one = ~(np.abs(np.trace(proj, axis1=1, axis2=2) - 1.0) <= tol_struct)
+    if np.any(not_idempotent | not_rank_one):
+        i = int(np.argmax(not_idempotent | not_rank_one))
+        what = "idempotent" if not_idempotent[i] else "rank one"
+        raise NotJordanEmbedding(f"image of diagonal unit {i} is not {what}")
+    if not frobenius(np.sum(proj, axis=0) - identity(n)) <= tol_struct * n:
         raise NotJordanEmbedding("diagonal-unit images do not sum to the identity")
-    stacked = np.stack(proj)
-    cross = frobenius(stacked[:, None] @ stacked[None, :])  # ||P_i P_j||_F for all i, j
+    cross = frobenius(proj[:, None] @ proj[None, :])  # ||P_i P_j||_F for all i, j
     bad = np.argwhere(np.triu((cross > tol_struct) | (cross.T > tol_struct), 1))
     if bad.size:
         raise NotJordanEmbedding(f"images of units {bad[0, 0]} and {bad[0, 1]} are not orthogonal")
 
-    # (2) assemble S from the ranges of the idempotents via a random probe
-    rng = np.random.default_rng(seed)
-    s = None
-    for _ in range(32):
-        w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        cand = np.stack([p @ w for p in proj], axis=1)
-        norms = np.sqrt(np.sum(np.abs(cand) ** 2, axis=0))
-        if float(np.min(norms)) >= 1e-8:
-            s = cand / norms
-            break
-    if s is None:
-        raise Degenerate("probe retries exhausted while assembling the similarity")
+    # (2) column i of S spans the range of the rank-one P_i: its largest column
+    col_norms = np.sqrt(np.sum(np.abs(proj) ** 2, axis=1))  # (i, k): ||column k of P_i||
+    s = proj[np.arange(n), :, np.argmax(col_norms, axis=1)].T / np.max(col_norms, axis=1)
     try:
         sinv = inverse(s)
     except (Singular, IllConditioned) as exc:
@@ -355,29 +344,25 @@ def recover_form(m: AlgebraMap, seed=RECOVERY_SEED) -> JordanForm:
         raise NotJordanEmbedding("mixed orientations across matrix units")
     orientation = Orientation.ANTI_TRANSPOSE if np.any(anti) else Orientation.INNER
 
-    # (4) diagonal rescaling anchored at the first row (E_0j always exists)
+    # (4) diagonal rescaling anchored at the first row: units 1..n-1 are the E_0j
+    j = np.arange(1, n)
     d = np.ones(n, dtype=np.complex128)
-    for j in range(1, n):
-        md = conjugated[cell_index[(0, j)]]
-        if orientation is Orientation.INNER:
-            c = md[0, j]
-            d[j] = 1.0 / c
-        else:
-            d[j] = md[j, 0]
+    if orientation is Orientation.INNER:
+        d[1:] = 1.0 / conjugated[j, 0, j]
+    else:
+        d[1:] = conjugated[j, j, 0]
     t = s * d[None, :]
 
     # (5) canonical scaling: largest-modulus entry becomes exactly 1
     flat_idx = int(np.argmax(np.abs(t)))
     t = t / t.reshape(-1)[flat_idx]
 
-    # (6) certify against the map itself on seeded random samples
+    # (6) certify against the map itself on every matrix unit (||E_p||_F = 1)
     try:
         tinv = inverse(t)
     except (Singular, IllConditioned) as exc:
         raise NotJordanEmbedding(f"recovered similarity is not invertible: {exc}") from exc
-    cond = spectral_norm(t) * spectral_norm(tinv)
-    for xs in probe_chunks(random_element(alg, rng) for _ in range(VERIFY_SAMPLES)):
-        res = frobenius(apply_batch(m, xs) - _form_image(orientation, t, tinv, xs))
-        if np.any(~(res <= VERIFY_REL * np.maximum(frobenius(xs), 1e-300) * cond**2)):
-            raise NotJordanEmbedding("verification residual exceeds tolerance")
-    return JordanForm(orientation=orientation, t=t)
+    form = JordanForm(orientation=orientation, t=t)
+    if not form_residual(m, form) <= VERIFY_REL * (spectral_norm(t) * spectral_norm(tinv)) ** 2:
+        raise NotJordanEmbedding("verification residual exceeds tolerance")
+    return form

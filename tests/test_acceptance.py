@@ -14,12 +14,12 @@ import pytest
 from blocktri import (
     GALLERY,
     AlgebraMap,
-    Degenerate,
     JordanForm,
     NotJordanEmbedding,
     Orientation,
     algebra_map_from_function,
     apply,
+    apply_batch,
     block_algebra,
     block_projection,
     build_form_map,
@@ -185,10 +185,11 @@ def test_criterion_5_spectrum_preservation(recovery_corpus):
         rng = np.random.default_rng(SEED + 55)
         for idx, (alg, _, _, m) in enumerate(recovery_corpus):
             n = alg.n
-            for _ in range(500):
-                a = random_element(alg, rng)
-                diff = np.abs(char_poly(apply(m, a)) - char_poly(a))
-                assert np.max(diff) <= 1e-8 * max(1.0, frobenius(a)) ** n
+            a = np.stack([random_element(alg, rng) for _ in range(500)])
+            diff = np.abs(char_poly(apply_batch(m, a)) - char_poly(a))
+            # coefficient of x^k against the checker's scale max(1, ||a||_F)^(n - k)
+            scale = np.maximum(1.0, frobenius(a))[:, None] ** (n - np.arange(n + 1))
+            assert np.max(diff / scale) <= 1e-8
             if idx % 10 == 0:
                 res = check_multiplicity_preserving(m, samples=5, seed=SEED + idx)
                 assert res.ok, f"multiplicity violation {res.worst}"
@@ -300,7 +301,7 @@ def test_criterion_8_negative_controls():
                 assert not is_jordan(m, samples=3, seed=SEED).ok
                 try:
                     form = recover_form(m)
-                except (NotJordanEmbedding, Degenerate):
+                except NotJordanEmbedding:
                     continue
                 # a returned form must genuinely induce the map (never expected)
                 tinv = inverse(form.t)

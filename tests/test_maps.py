@@ -17,6 +17,7 @@ from blocktri import (
     block_projection,
     build_form_map,
     evaluate_form,
+    form_residual,
     inverse,
     is_jordan,
     orientation_feasible,
@@ -215,6 +216,9 @@ class TestRecoverForm:
             ({(0, 3): "zero", (1, 2): "spread"}, r"unit \(0, 3\) vanishes"),
             ({(1, 2): "faint"}, r"unit \(1, 2\) vanishes"),  # spread too, but vanishing is tested first
             ({(3, 5): "anti"}, "mixed orientations"),
+            ({(4, 4): "spread"}, r"diagonal unit 4 is not rank one"),  # P_4 + P_7 is idempotent
+            ({(5, 5): "double", (2, 2): "zero"}, r"diagonal unit 2 is not rank one"),
+            ({(2, 2): "double", (5, 5): "zero"}, r"diagonal unit 2 is not idempotent"),  # trace 2 as well
         ],
     )
     def test_first_failing_unit_named(self, rng, edits, message):
@@ -227,9 +231,36 @@ class TestRecoverForm:
         for cell, edit in edits.items():
             k = index[cell]
             spread = c[:, k] + c[:, index[(7, 7)]]
-            c[:, k] = {"zero": 0.0, "spread": spread, "faint": 1e-12 * spread, "anti": anti[:, k]}[edit]
+            c[:, k] = {"zero": 0.0, "spread": spread, "faint": 1e-12 * spread, "anti": anti[:, k], "double": 2 * c[:, k]}[edit]
         with pytest.raises(NotJordanEmbedding, match=message):
             recover_form(AlgebraMap(alg, c))
+
+    def test_certification_rejects_one_wrong_unit(self):
+        # steps (1)-(5) read T = I off the diagonal and first-row units; only
+        # the certification on every unit sees phi(E_12) = 2 E_12
+        m = identity_map((1, 1, 1))
+        c = np.array(m.coefficients)
+        c[:, m.domain.cells.index((1, 2))] *= 2.0
+        doubled = AlgebraMap(m.domain, c)
+        with pytest.raises(NotJordanEmbedding, match="verification residual exceeds tolerance"):
+            recover_form(doubled)
+        assert form_residual(doubled, JordanForm(Orientation.INNER, np.eye(3, dtype=complex))) == 1.0
+
+    @pytest.mark.parametrize("parts", [(2, 3, 3), (1,) * 6, (4, 4)])
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_form_residual_of_form_map(self, rng, parts, orientation):
+        alg = block_algebra(parts)
+        form = JordanForm(orientation, bounded_similarity(parts, rng))
+        m = build_form_map(alg, form)
+        assert form_residual(m, form) == 0.0  # the same unit images
+        assert form_residual(m, recover_form(m)) <= 1e-13
+
+    def test_form_residual_non_finite(self):
+        m = identity_map((1, 2))
+        c = np.array(m.coefficients)
+        c[0, 0] = np.nan
+        form = JordanForm(Orientation.INNER, np.eye(3, dtype=complex))
+        assert form_residual(AlgebraMap(m.domain, c), form) == np.inf
 
     def test_verification_probes_match(self, rng):
         alg = block_algebra((2, 2))
