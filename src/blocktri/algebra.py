@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MismatchedDimension
-from .linalg import as_matrix
+from .linalg import as_matrix, as_stack
 
 Composition = tuple[int, ...]
 
@@ -55,9 +55,10 @@ class BlockAlgebra:
         return x[..., self.cell_rows, self.cell_cols]
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
-        """Rebuild the n x n matrix whose support cells carry ``values``."""
-        out = np.zeros((self.n, self.n), dtype=np.complex128)
-        out[self.cell_rows, self.cell_cols] = values
+        """Rebuild the n x n matrix whose support cells carry ``values`` (or,
+        from a (k, dim) array, the (k, n, n) stack)."""
+        out = np.zeros(values.shape[:-1] + (self.n, self.n), dtype=np.complex128)
+        out[..., self.cell_rows, self.cell_cols] = values
         return out
 
 
@@ -189,31 +190,68 @@ def jordan_iso_class(a, b) -> JordanIsoClass:
     return JordanIsoClass.NOT_JORDAN_ISOMORPHIC
 
 
+def _gaussian(z: np.ndarray) -> np.ndarray:
+    """CN(0, 1) entries from real N(0, 1) parts: real half, then imaginary half."""
+    re, im = np.split(z, 2, axis=-1)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def random_elements(algebra: BlockAlgebra, seed, k: int) -> np.ndarray:
+    """A (k, n, n) stack of ``random_element`` draws, from one generator call.
+
+    A Generator's normal stream reads the same whether drawn in one call or
+    many, so row i equals, bit for bit, the i-th of k successive
+    ``random_element(algebra, rng)`` calls on the same generator.
+    """
+    rng = np.random.default_rng(seed)
+    return algebra.scatter(_gaussian(rng.standard_normal((k, 2 * algebra.dim))))
+
+
 def random_element(algebra: BlockAlgebra, seed) -> np.ndarray:
     """Standard complex Gaussian entries on the support cells, zeros elsewhere.
 
     Entries are CN(0, 1): real and imaginary parts independent N(0, 1/2).
     Deterministic for a given seed.
     """
-    rng = np.random.default_rng(seed)
-    values = (
-        rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-    ) / np.sqrt(2.0)
-    return algebra.scatter(values)
+    return random_elements(algebra, seed, 1)[0]
 
 
 def matrix_poly(x: np.ndarray, coeffs) -> np.ndarray:
-    """Evaluate sum coeffs[k] x^k by Horner's rule (coeffs ascending)."""
-    x = as_matrix(x, square=True)
-    coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
-    n = x.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    if coeffs.size == 0:
+    """Evaluate sum coeffs[j] x^j by Horner's rule (coeffs ascending).
+
+    ``x`` is one n x n matrix with a coefficient vector, or a (k, n, n) stack
+    with (k, deg) coefficients, one row per matrix; a stack takes one stacked
+    product per degree.
+    """
+    x = as_stack(x)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    if x.ndim == 2:
+        coeffs = coeffs.ravel()
+    if coeffs.shape[:-1] != x.shape[:-2]:
+        raise MismatchedDimension(f"coefficients of shape {coeffs.shape} for matrices of shape {x.shape}")
+    if coeffs.shape[-1] == 0:
         return np.zeros_like(x)
-    acc = coeffs[-1] * eye
-    for c in coeffs[-2::-1]:
-        acc = acc @ x + c * eye
+    eye = np.eye(x.shape[-1], dtype=np.complex128)
+    coeffs = coeffs[..., None, None]
+    acc = coeffs[..., -1, :, :] * eye
+    for j in range(coeffs.shape[-3] - 2, -1, -1):
+        acc = acc @ x + coeffs[..., j, :, :] * eye
     return acc
+
+
+def random_commuting_pairs(algebra: BlockAlgebra, seed, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (k, n, n) stacks: row i of each is the i-th of k successive
+    ``random_commuting_pair(algebra, rng)`` draws, bit for bit.
+
+    One generator call draws, per pair, X's parts and then the two
+    polynomials' coefficients, in the order of the one-pair draw.
+    """
+    rng = np.random.default_rng(seed)
+    d, n = algebra.dim, algebra.n
+    z = rng.standard_normal((k, 2 * d + 4 * n))
+    x = algebra.scatter(_gaussian(z[:, : 2 * d]))
+    coeffs = _gaussian(z[:, 2 * d :].reshape(k, 2, 2 * n))  # degree <= n - 1, so n coefficients each
+    return matrix_poly(x, coeffs[:, 0]), matrix_poly(x, coeffs[:, 1])
 
 
 def random_commuting_pair(algebra: BlockAlgebra, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -223,9 +261,5 @@ def random_commuting_pair(algebra: BlockAlgebra, seed) -> tuple[np.ndarray, np.n
     products, so both outputs are supported members with an exactly commuting
     product in exact arithmetic.
     """
-    rng = np.random.default_rng(seed)
-    x = random_element(algebra, rng)
-    deg = algebra.n  # degree <= n - 1, so n coefficients
-    pc = (rng.standard_normal(deg) + 1j * rng.standard_normal(deg)) / np.sqrt(2.0)
-    qc = (rng.standard_normal(deg) + 1j * rng.standard_normal(deg)) / np.sqrt(2.0)
-    return matrix_poly(x, pc), matrix_poly(x, qc)
+    p, q = random_commuting_pairs(algebra, seed, 1)
+    return p[0], q[0]

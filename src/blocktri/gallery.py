@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BlockAlgebra, block_algebra, matrix_units, random_element
+from .algebra import BlockAlgebra, block_algebra, matrix_units, random_elements
 from .errors import NotFinite, NotJordanEmbedding
 from .linalg import char_poly, frobenius, identity, inverse, spectral_norm
 from .maps import algebra_map_from_function, is_jordan, recover_form
@@ -133,8 +133,7 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
 
     def image_gap() -> float:
         """The smallest image distance over all pairs of distinct random inputs, each evaluated once."""
-        rng = np.random.default_rng(seed)
-        xs = np.array([random_element(alg, rng) for _ in range(budget)])
+        xs = random_elements(alg, seed, budget)
         fxs = np.array([fn(x) for x in xs])
         gap = np.inf
         for i in range(0, budget, 16):  # a block of 16 draws against every draw up to its end

@@ -11,7 +11,9 @@ the matrix-unit images and certified on all of them (``form_residual``).
 Probes are evaluated as stacks: ``apply_batch`` maps a (k, n, n) stack with
 one product, ``probe_chunks`` streams a probe sequence in stacks of at most
 PROBE_CHUNK matrices, and ``unit_pair_residuals`` makes one pass over the
-products of all matrix-unit images. An AlgebraMap keeps a read-only copy of
+products of all matrix-unit images. ``is_jordan`` draws its random probes
+PROBE_CHUNK at a time with one generator call (``random_elements``), in the
+stream order of one draw at a time. An AlgebraMap keeps a read-only copy of
 its coefficients and runs that pass once, on first use, as ``unit_pairs``;
 ``is_jordan`` and the commutativity checker both read it.
 """
@@ -32,7 +34,7 @@ from .algebra import (
     block_algebra,
     embeds,
     matrix_units,
-    random_element,
+    random_elements,
 )
 from .errors import (
     IllConditioned,
@@ -250,7 +252,8 @@ def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> Jo
     tally = Tally(tol)
     tally.add(m.unit_pairs.jordan)
     rng = np.random.default_rng(seed)
-    for xs in probe_chunks(random_element(alg, rng) for _ in range(samples)):
+    for start in range(0, samples, PROBE_CHUNK):
+        xs = random_elements(alg, rng, min(PROBE_CHUNK, samples - start))
         fx = apply_batch(m, xs)
         res = frobenius(apply_batch(m, xs @ xs) - fx @ fx) / np.maximum(1.0, frobenius(xs) ** 2)
         tally.add(res)

@@ -6,10 +6,12 @@ verdict with the worst violation and offending witnesses. Spectrum equality
 is tested through characteristic-polynomial coefficients, which sidesteps
 matching noisy eigenvalue lists.
 
-Probes are drawn one by one from the seed, in a fixed order, and evaluated
-in stacks of at most PROBE_CHUNK; a black-box evaluator is called once per
-probe. The matrix-unit pairs of an AlgebraMap come from its ``unit_pairs``.
-A residual that is not finite counts as a violation.
+Random probes are drawn from the seed in a fixed order, PROBE_CHUNK at a
+time with one generator call per chunk (``random_elements``,
+``random_commuting_pairs``; the stream is the same as one draw at a time),
+and evaluated in stacks of at most PROBE_CHUNK; a black-box evaluator is
+called once per probe. The matrix-unit pairs of an AlgebraMap come from its
+``unit_pairs``. A residual that is not finite counts as a violation.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from .algebra import (
     BlockAlgebra,
     block_algebra,
     matrix_units,
-    random_commuting_pair,
+    random_commuting_pairs,
     random_element,
+    random_elements,
 )
 from .linalg import char_poly, eigenvalues, frobenius, identity, inverse, spectral_norm
-from .maps import AlgebraMap, Tally, apply_batch, probe_chunks, unit_pair_residuals
+from .maps import PROBE_CHUNK, AlgebraMap, Tally, apply_batch, probe_chunks, unit_pair_residuals
 
 MULTIPLICITY_CLUSTER_TOL = 1e-6
 
@@ -63,8 +66,8 @@ def _probe_elements(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.nda
     yield np.zeros((algebra.n, algebra.n), dtype=np.complex128)
     yield identity(algebra.n)
     yield from matrix_units(algebra)
-    for _ in range(samples):
-        yield random_element(algebra, rng)
+    for start in range(0, samples, PROBE_CHUNK):
+        yield from random_elements(algebra, rng, min(PROBE_CHUNK, samples - start))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -136,9 +139,9 @@ def check_commutativity_preserving(
     tally = Tally(tol)
     tally.add(unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]]))
 
-    for stack in probe_chunks(np.stack(random_commuting_pair(alg, rng)) for _ in range(pairs)):
-        res = commutator_gap(fn(stack[:, 0]), fn(stack[:, 1]))
-        tally.add(res, lambda i: (stack[i, 0].copy(), stack[i, 1].copy()))
+    for start in range(0, pairs, PROBE_CHUNK):
+        ps, qs = random_commuting_pairs(alg, rng, min(PROBE_CHUNK, pairs - start))
+        tally.add(commutator_gap(fn(ps), fn(qs)), lambda i: (ps[i].copy(), qs[i].copy()))
     return CheckResult(ok=tally.ok, worst=tally.worst, witnesses=tally.witnesses)
 
 
@@ -164,7 +167,12 @@ def _multiset_match(lam_a: np.ndarray, lam_b: np.ndarray) -> np.ndarray:
 
 
 def _degenerate_samples(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.ndarray]:
-    """Conjugated diagonals with a forced collision, at unit spectral norm."""
+    """Conjugated diagonals with a forced collision, at unit spectral norm.
+
+    Drawn one sample at a time: ``rng.choice`` takes its draws between each
+    sample's diagonal and its random element, so a chunked draw would change
+    the stream.
+    """
     n = algebra.n
     for _ in range(samples):
         base = rng.standard_normal(n) + 1j * rng.standard_normal(n)

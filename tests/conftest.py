@@ -215,6 +215,38 @@ def gaussian(rng, n: int, m: int | None = None) -> np.ndarray:
     return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
 
 
+def reference_element(alg, rng) -> np.ndarray:
+    """One random member drawn alone, as probes were before chunked draws:
+    two standard_normal(dim) calls and a scatter onto the support cells."""
+    values = (rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)) / np.sqrt(2.0)
+    out = np.zeros((alg.n, alg.n), dtype=np.complex128)
+    out[alg.cell_rows, alg.cell_cols] = values
+    return out
+
+
+def reference_poly(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Horner's rule on one matrix, ascending coefficients."""
+    eye = np.eye(x.shape[0], dtype=np.complex128)
+    acc = coeffs[-1] * eye
+    for c in coeffs[-2::-1]:
+        acc = acc @ x + c * eye
+    return acc
+
+
+def reference_commuting_pair(alg, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One commuting pair (p(X), q(X)) drawn alone: X, then p's and q's n
+    coefficients, each as a real and an imaginary standard_normal call."""
+    x = reference_element(alg, rng)
+    pc, qc = ((rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)) / np.sqrt(2.0) for _ in range(2))
+    return reference_poly(x, pc), reference_poly(x, qc)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: also tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def bounded_similarity(parts, rng, diag_spread: float = 0.0) -> np.ndarray:
     """Invertible member of the algebra with condition number well under 1e3."""
     alg = block_algebra(parts)

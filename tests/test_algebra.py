@@ -9,6 +9,7 @@ from blocktri import (
     Embedding,
     JordanIsoClass,
     MismatchedDimension,
+    NotFinite,
     block_algebra,
     embeds,
     flip,
@@ -22,9 +23,17 @@ from blocktri import (
     random_commuting_pair,
     random_element,
 )
+from blocktri.algebra import random_commuting_pairs, random_elements
 from blocktri.linalg import frobenius
 
-from conftest import all_compositions, gaussian
+from conftest import (
+    all_compositions,
+    gaussian,
+    reference_commuting_pair,
+    reference_element,
+    reference_poly,
+    same_bits,
+)
 
 
 def unit(n, i, j):
@@ -273,6 +282,10 @@ class TestRandomSampling:
         a = random_element(alg, 123)
         b = random_element(alg, 123)
         assert np.array_equal(a, b)
+        assert same_bits(a, reference_element(alg, np.random.default_rng(123)))
+        p, q = random_commuting_pair(alg, 123)
+        p_ref, q_ref = reference_commuting_pair(alg, np.random.default_rng(123))
+        assert same_bits(p, p_ref) and same_bits(q, q_ref)
         assert membership(alg, a, tol=0.0)
         assert not np.array_equal(a, random_element(alg, 124))
 
@@ -302,3 +315,64 @@ class TestRandomSampling:
         x = random_element(alg, rng)
         assert np.array_equal(matrix_poly(x, [0.0, 1.0]), x)
         assert np.array_equal(matrix_poly(x, [1.0]), np.eye(3))
+
+    @pytest.mark.parametrize("parts", [(1,), (2, 3, 3), (4, 4, 4, 4), (16,)])
+    @pytest.mark.parametrize("k", [0, 1, 31, 32, 33, 100])
+    @pytest.mark.parametrize("calls", [1, 2, 3])
+    def test_chunked_draws_match_one_at_a_time(self, parts, k, calls):
+        """k draws split over ``calls`` chunks equal k one-probe draws bit for
+        bit and leave the generator where they leave it."""
+        alg = block_algebra(parts)
+        sizes = [k // calls] * (calls - 1) + [k - (calls - 1) * (k // calls)]
+        seed = 1000 * k + calls
+
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.zeros((k, alg.n, alg.n), dtype=np.complex128)
+        for i in range(k):
+            want[i] = reference_element(alg, ref_rng)
+        got = np.concatenate([random_elements(alg, rng, size) for size in sizes])
+        assert same_bits(got, want)
+        assert ref_rng.standard_normal() == rng.standard_normal()
+
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.zeros((2, k, alg.n, alg.n), dtype=np.complex128)
+        for i in range(k):
+            want[:, i] = reference_commuting_pair(alg, ref_rng)
+        drawn = [random_commuting_pairs(alg, rng, size) for size in sizes]
+        assert same_bits(np.concatenate([p for p, _ in drawn]), want[0])
+        assert same_bits(np.concatenate([q for _, q in drawn]), want[1])
+        assert ref_rng.standard_normal() == rng.standard_normal()
+
+
+class TestStackedMatrixPoly:
+    @pytest.mark.parametrize("n, deg", [(1, 1), (3, 3), (8, 8), (16, 16), (4, 9)])
+    def test_rows_match_2d_evaluation(self, rng, n, deg):
+        k = 7
+        xs = np.stack([gaussian(rng, n) for _ in range(k)])
+        coeffs = gaussian(rng, k, deg)
+        got = matrix_poly(xs, coeffs)
+        assert got.shape == (k, n, n)
+        for x, c, row in zip(xs, coeffs, got):
+            assert same_bits(row, matrix_poly(x, c))
+            assert same_bits(row, reference_poly(x, c))
+
+    def test_empty_and_degree_zero(self, rng):
+        xs = np.stack([gaussian(rng, 3) for _ in range(4)])
+        assert same_bits(matrix_poly(xs, np.zeros((4, 0))), np.zeros((4, 3, 3), dtype=np.complex128))
+        coeffs = gaussian(rng, 4, 1)
+        got = matrix_poly(xs, coeffs)
+        for c, row in zip(coeffs, got):
+            assert same_bits(row, c[0] * np.eye(3, dtype=np.complex128))
+        assert matrix_poly(np.zeros((0, 3, 3)), np.zeros((0, 2))).shape == (0, 3, 3)
+
+    def test_validation(self, rng):
+        xs = np.stack([gaussian(rng, 3) for _ in range(2)])
+        coeffs = gaussian(rng, 2, 3)
+        bad = xs.copy()
+        bad[1, 0, 2] = np.nan
+        for x, c in ((bad, coeffs), (bad[1], coeffs[1])):
+            with pytest.raises(NotFinite):
+                matrix_poly(x, c)
+        for x, c in ((xs[:, :, :2], coeffs), (xs[0, :, :2], coeffs[0]), (xs, coeffs[:1]), (xs[0, 0], coeffs[0])):
+            with pytest.raises(MismatchedDimension):
+                matrix_poly(x, c)

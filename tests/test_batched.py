@@ -1,8 +1,9 @@
 """The batched probe layer against the per-matrix path it replaces.
 
-Reference implementations here evaluate one probe (or one unit pair) at a
-time, exactly as the checkers did before probes were stacked; the batched
-code must reach the same verdicts and witnesses from the same seeds.
+Reference implementations here draw and evaluate one probe (or one unit
+pair) at a time, exactly as the checkers did before probes were stacked and
+drawn in chunks; the batched code must reach the same verdicts and witnesses
+from the same seeds.
 """
 
 import json
@@ -33,7 +34,6 @@ from blocktri import (
     full_report,
     is_jordan,
     matrix_units,
-    random_commuting_pair,
     random_element,
     recover_form,
     triangular_idempotent_form,
@@ -45,7 +45,14 @@ from blocktri.linalg import frobenius, identity, inverse, spectral_norm
 from blocktri.maps import PROBE_CHUNK, probe_chunks, unit_pair_residuals
 from blocktri.preservers import _multiset_match
 
-from conftest import bounded_similarity, gaussian, match_multisets, qr_schur
+from conftest import (
+    bounded_similarity,
+    gaussian,
+    match_multisets,
+    qr_schur,
+    reference_commuting_pair,
+    reference_element,
+)
 
 
 def form_map(parts, rng, orientation=Orientation.INNER, noise=0.0):
@@ -89,7 +96,7 @@ def reference_unit_pairs(m):
 def reference_probes(alg, samples, rng):
     probes = [np.zeros((alg.n, alg.n), dtype=np.complex128), identity(alg.n)]
     probes.extend(matrix_units(alg))
-    probes.extend(random_element(alg, rng) for _ in range(samples))
+    probes.extend(reference_element(alg, rng) for _ in range(samples))
     return probes
 
 
@@ -126,7 +133,7 @@ def reference_commutativity(fn, alg, pairs, seed, tol=1e-8):
             if ((i, l) if j == k else None) == ((k, j) if l == i else None):
                 candidates.append((units[p], units[q]))
     rng = np.random.default_rng(seed)
-    candidates.extend(random_commuting_pair(alg, rng) for _ in range(pairs))
+    candidates.extend(reference_commuting_pair(alg, rng) for _ in range(pairs))
     res = []
     for a, b in candidates:
         fa, fb = fn(a), fn(b)
@@ -154,7 +161,7 @@ def reference_multiplicity(fn, alg, samples, seed):
         if n >= 2:
             i, j = rng.choice(n, size=2, replace=False)
             base[j] = base[i]
-        g = random_element(alg, rng)
+        g = reference_element(alg, rng)
         t = identity(n) + g / (2.0 * max(spectral_norm(g), 1e-12))
         a = t @ np.diag(base) @ inverse(t)
         a = a / max(spectral_norm(a), 1e-12)
