@@ -10,6 +10,7 @@ library error without a code of its own, a bad document included, exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -32,7 +33,7 @@ from .documents import (
 )
 from .errors import BlockTriError, NotJordanEmbedding, RepeatedEigenvalues
 from .gallery import GALLERY, run_gallery_suite
-from .maps import form_residual, recover_form
+from .maps import _recover_certified
 from .preservers import full_report
 
 EXIT_OK = 0
@@ -75,7 +76,7 @@ def _cmd_embed_check(args) -> int:
 def _cmd_recover(args) -> int:
     m = map_from_document(load_json(args.map_file))
     try:
-        form = recover_form(m)
+        form, residual = _recover_certified(m)
     except NotJordanEmbedding as exc:
         return _fail(EXIT_NOT_JORDAN, f"recover: not a Jordan embedding: {exc}")
     sys.stdout.write(
@@ -83,7 +84,7 @@ def _cmd_recover(args) -> int:
             {
                 "orientation": form.orientation.value,
                 "T": matrix_to_document(form.t)["entries"],
-                "residual": form_residual(m, form),
+                "residual": residual,
             }
         )
     )
@@ -166,6 +167,7 @@ def _tol(text: str) -> float:
     return value
 
 
+@functools.cache  # one parser per process, shared by every main call: do not modify it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocktri",
@@ -206,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed a diagnostic; normalize its exit code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK

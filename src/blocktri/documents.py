@@ -9,6 +9,7 @@ separators) so outputs are byte-stable.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -35,43 +36,38 @@ def _from_pair(obj) -> complex:
         z = complex(float(obj[0]), float(obj[1]))
     except OverflowError:  # an integer beyond the float range
         z = complex(math.inf)
-    _check_finite(z)
+    if not cmath.isfinite(z):
+        raise InvalidDocument("entries must be finite")
     return z
 
 
-def _check_finite(values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise InvalidDocument("entries must be finite")
-
-
-def _numbers_only(row: list) -> bool:
-    """Whether every pair of the row is a list or tuple of ints and floats (no bools)."""
-    return all(issubclass(t, (list, tuple)) for t in set(map(type, row))) and all(
-        issubclass(t, (int, float)) and not issubclass(t, bool)
-        for t in set(map(type, itertools.chain.from_iterable(row)))
-    )
-
-
 def _grid_from_document(rows: list, cols: int, row_error: str) -> np.ndarray:
-    """Decode rows of ``cols`` [re, im] pairs into a complex array, row by row.
+    """Decode rows of ``cols`` [re, im] pairs into a complex array.
 
-    A row of number pairs is copied in one step; the view keeps the sign of a
-    zero imaginary part, which re + 1j * im loses. Any other row is decoded
-    pair by pair, so errors are those of a pair-by-pair decode in row-major order.
+    A grid of plain JSON number pairs (lists of exact ints and floats, so no
+    bools) is copied in one pass; the complex view of the float pairs keeps
+    the sign of a zero imaginary part, which re + 1j * im loses. Any other
+    grid, and one holding an integer beyond the float range or a non-finite
+    value, is decoded pair by pair, so errors are those of a pair-by-pair
+    decode in row-major order.
     """
+    if all(type(row) is list and len(row) == cols for row in rows):
+        pairs = list(itertools.chain.from_iterable(rows))
+        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+            leaves = list(itertools.chain.from_iterable(pairs))
+            if set(map(type, leaves)) <= {int, float}:
+                try:
+                    flat = np.fromiter(leaves, np.float64, count=len(leaves))
+                except OverflowError:  # an integer beyond the float range
+                    pass
+                else:
+                    if np.all(np.isfinite(flat)):
+                        return flat.view(np.complex128).reshape(len(rows), cols)
     out = np.empty((len(rows), cols), dtype=np.complex128)
     for r, row in enumerate(rows):
-        if isinstance(row, list) and len(row) == cols and _numbers_only(row):
-            try:  # ValueError: pairs of another length; OverflowError: huge integers
-                out[r] = np.array(row, np.float64).reshape(cols, 2).view(np.complex128)[:, 0]
-                continue
-            except (ValueError, OverflowError):
-                pass
-        _check_finite(out[:r])
         if not isinstance(row, list) or len(row) != cols:
             raise InvalidDocument(row_error)
         out[r] = [_from_pair(pair) for pair in row]
-    _check_finite(out)
     return out
 
 

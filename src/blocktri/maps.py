@@ -282,7 +282,6 @@ def form_residual(m: AlgebraMap, form: JordanForm) -> float:
     return float(np.max(gaps)) if np.all(np.isfinite(gaps)) else np.inf
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def recover_form(m: AlgebraMap) -> JordanForm:
     """Recover (orientation, T) from a map of the form X -> T X T^{-1} or
     X -> T X^t T^{-1}.
@@ -295,6 +294,12 @@ def recover_form(m: AlgebraMap) -> JordanForm:
     matrix unit (``form_residual``). No step draws random numbers. Any
     failure raises NotJordanEmbedding.
     """
+    return _recover_certified(m)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _recover_certified(m: AlgebraMap) -> tuple[JordanForm, float]:
+    """``recover_form`` and the ``form_residual`` that certified its result."""
     alg = m.domain
     n = alg.n
     images = m.unit_images()
@@ -366,6 +371,7 @@ def recover_form(m: AlgebraMap) -> JordanForm:
     except (Singular, IllConditioned) as exc:
         raise NotJordanEmbedding(f"recovered similarity is not invertible: {exc}") from exc
     form = JordanForm(orientation=orientation, t=t)
-    if not form_residual(m, form) <= VERIFY_REL * (spectral_norm(t) * spectral_norm(tinv)) ** 2:
+    residual = form_residual(m, form)
+    if not residual <= VERIFY_REL * (spectral_norm(t) * spectral_norm(tinv)) ** 2:
         raise NotJordanEmbedding("verification residual exceeds tolerance")
-    return form
+    return form, residual

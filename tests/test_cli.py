@@ -20,8 +20,11 @@ from blocktri import (
     block_algebra,
     block_projection,
     build_form_map,
+    form_residual,
+    recover_form,
 )
-from blocktri.cli import MAX_BUDGET, main
+from blocktri import documents, maps
+from blocktri.cli import MAX_BUDGET, build_parser, main
 from blocktri.documents import (
     canonical_json,
     map_from_document,
@@ -70,9 +73,8 @@ class TestDocuments:
 
 
 def reference_grid(rows, cols, row_error):
-    """The pair-by-pair decoder that the row-wise one replaced. An integer
-    beyond the float range reads as non-finite here; the old decoder let its
-    OverflowError escape."""
+    """The pair-by-pair reference decoder, in row-major order. An integer
+    beyond the float range reads as non-finite."""
     out = np.zeros((len(rows), cols), dtype=np.complex128)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != cols:
@@ -157,6 +159,53 @@ def corrupted(rng, rows, cols):
             yield grid
 
 
+def json_typed(grids):
+    """Each grid as ``json.loads`` delivers it: tuples become lists and
+    np.float64 plain floats. A grid holding a value that JSON cannot express
+    (np.int64, an array) is left out."""
+    for grid in grids:
+        try:
+            yield json.loads(json.dumps(grid))
+        except TypeError:
+            pass
+
+
+def json_rows(rng, rows, cols):
+    """``valid_rows`` as JSON delivers it, plus the largest power of two below
+    the float overflow as an integer."""
+    (grid,) = json_typed([valid_rows(rng, rows, cols)])
+    grid[1][0] = [2**1023, -0.0]
+    return grid
+
+
+@pytest.fixture
+def no_pair_decode(monkeypatch):
+    """Fail the test if any grid falls back to the pair-by-pair decode."""
+
+    def fail(obj):
+        raise AssertionError(f"pair-by-pair decode of {obj!r}")
+
+    monkeypatch.setattr(documents, "_from_pair", fail)
+
+
+MATRIX_ROW_ERROR = "entries do not form an n x n grid"
+MAP_ROW_ERROR = "coefficient rows must have 7 columns"
+
+
+def assert_matrix_rejections_match(grids):
+    for rows in grids:
+        got = decode_outcome(lambda: matrix_from_document({"n": 4, "entries": rows}))
+        assert got == decode_outcome(reference_grid, rows, 4, MATRIX_ROW_ERROR)
+        assert got.startswith("InvalidDocument")
+
+
+def assert_map_rejections_match(grids):
+    for rows in grids:
+        got = decode_outcome(lambda: map_from_document({"algebra": "1,2", "coefficients": rows}).coefficients)
+        assert got == decode_outcome(reference_grid, rows, 7, MAP_ROW_ERROR)
+        assert got.startswith("InvalidDocument")
+
+
 class TestRowDecoder:
     def test_matrix_bit_identical(self, rng):
         rows = valid_rows(rng, 5, 5)
@@ -170,19 +219,32 @@ class TestRowDecoder:
         got = map_from_document({"algebra": "1,2", "coefficients": rows}).coefficients
         assert got.tobytes() == reference_grid(rows, 7, "").tobytes()
 
+    def test_json_grids_bit_identical(self, rng, no_pair_decode):
+        rows = json_rows(rng, 5, 5)
+        got = matrix_from_document({"n": 5, "entries": rows})
+        assert got.tobytes() == reference_grid(rows, 5, "").tobytes()
+        assert np.signbit(got[0, 0].imag) and np.signbit(got[0, -1].real) and np.signbit(got[1, 0].imag)
+        rows = json_rows(rng, 9, 7)
+        got = map_from_document({"algebra": "1,2", "coefficients": rows}).coefficients
+        assert got.tobytes() == reference_grid(rows, 7, "").tobytes()
+
+    def test_valid_json_documents_take_one_pass(self, rng, no_pair_decode):
+        alg = block_algebra((4, 4, 4, 4))
+        m = AlgebraMap(alg, gaussian(rng, alg.n**2, alg.dim))
+        doc = json.loads(canonical_json(map_to_document(m)))
+        assert map_from_document(doc).coefficients.tobytes() == m.coefficients.tobytes()
+        x = gaussian(rng, 16)
+        assert matrix_from_document(json.loads(canonical_json(matrix_to_document(x)))).tobytes() == x.tobytes()
+
     def test_matrix_rejections_match_reference(self, rng):
-        message = "entries do not form an n x n grid"
-        for rows in corrupted(rng, 4, 4):
-            got = decode_outcome(lambda: matrix_from_document({"n": 4, "entries": rows}))
-            assert got == decode_outcome(reference_grid, rows, 4, message)
-            assert got.startswith("InvalidDocument")
+        assert_matrix_rejections_match(corrupted(rng, 4, 4))
 
     def test_map_rejections_match_reference(self, rng):
-        message = "coefficient rows must have 7 columns"
-        for rows in corrupted(rng, 9, 7):
-            got = decode_outcome(lambda: map_from_document({"algebra": "1,2", "coefficients": rows}).coefficients)
-            assert got == decode_outcome(reference_grid, rows, 7, message)
-            assert got.startswith("InvalidDocument")
+        assert_map_rejections_match(corrupted(rng, 9, 7))
+
+    def test_json_rejections_match_reference(self, rng):
+        assert_matrix_rejections_match(json_typed(corrupted(rng, 4, 4)))
+        assert_map_rejections_match(json_typed(corrupted(rng, 9, 7)))
 
     def test_non_finite_output_is_strict_json(self):
         text = canonical_json({"a": [np.inf, -np.inf, np.nan, 1.5], "z": complex(np.inf, -0.0)})
@@ -258,6 +320,18 @@ class TestRecoverCommand:
         path = tmp_path / "junk.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["recover", str(path)]) == 2
+
+    def test_certifies_once(self, tmp_path, rng, monkeypatch, capsys):
+        alg = block_algebra((2, 1))
+        m = build_form_map(alg, JordanForm(Orientation.INNER, bounded_similarity((2, 1), rng)))
+        path = tmp_path / "map.json"
+        path.write_text(canonical_json(map_to_document(m)), encoding="utf-8")
+        expected = form_residual(m, recover_form(m))
+        built = []
+        monkeypatch.setattr(maps, "build_form_map", lambda *args: built.append(args) or build_form_map(*args))
+        assert main(["recover", str(path)]) == 0
+        assert len(built) == 1  # the certification's own form map
+        assert json.loads(capsys.readouterr().out)["residual"] == expected
 
     def test_deterministic_bytes(self, identity_map_file, capsys):
         assert main(["recover", identity_map_file]) == 0
@@ -532,6 +606,41 @@ class TestArgumentErrors:
         assert main([]) == 2
 
 
+def _outcome(argv):
+    """(exit code, stdout, stderr) of one ``main`` call."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it changes no output."""
+
+    BAD = [["verify", "x", "--budget", "-1"], ["gallery", "det_twist", "--seed", "x"], ["frobnicate"], []]
+
+    def test_one_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_outcomes_match_a_fresh_parser(self, identity_map_file):
+        valid = [
+            ["embed-check", "1,2", "2,1", "--json"],
+            ["recover", identity_map_file],
+            ["verify", identity_map_file, "--budget", "5"],
+            ["gallery", "det_twist", "--budget", "5"],
+        ]
+        calls = [argv for pair in zip(self.BAD, valid) for argv in pair] * 2
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()  # the first call of a process
+            fresh.append(_outcome(argv))
+        reused = [_outcome(argv) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0] * 8
+        assert "argument --budget: must be a non-negative integer, got '-1'" in reused[0][2]
+        assert reused[0][2].startswith("usage: blocktri verify")
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """Documents the argv fuzz points at: map and matrix files, plus a missing path."""
@@ -586,12 +695,10 @@ def _argv(map_files, matrix_files):
 
 def _run(argv):
     """Run ``main`` on argv: a contract exit code, and no traceback on stderr."""
-    out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    code, _, err = _outcome(argv)
     event(f"{argv[0]} exits {code}")
-    assert code in {0, 2, 3, 4, 5, 6}, (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    assert code in {0, 2, 3, 4, 5, 6}, (argv, code, err)
+    assert "Traceback" not in err
 
 
 class TestArgvFuzz:

@@ -83,6 +83,16 @@ class TestSpectrumShrinking:
         assert not res.ok
         assert np.array_equal(res.witnesses[0], np.zeros((2, 2)))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="rejects an exact Jordan embedding: LAPACK's eigenvalues of the nilpotent "
+        "images T E_ij T^-1 spread by ~sqrt(eps), past the fixed 1e-8 tolerance",
+    )
+    def test_exact_jordan_embedding_at_cond_211(self):
+        t = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=complex) @ np.diag([1.0, 10.0, 100.0])
+        m = build_form_map(block_algebra((2, 1)), JordanForm(Orientation.INNER, t))
+        assert check_spectrum_shrinking(m, samples=100, seed=0).ok
+
 
 class TestCommutativityPreserving:
     def test_form_maps_pass(self, rng):
