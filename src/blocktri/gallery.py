@@ -7,8 +7,14 @@ diagonals continuity, and the block-diagonal projection injectivity.
 ``run_gallery_suite`` reports the same seven properties for every map: the four
 hypotheses, ``linear``, ``jordan`` and ``recovery_rejects``. A hypothesis is checked
 on its spec's witness first, and on seeded random probes only if that does not refute it.
+
+Every map takes one matrix or a (..., n, n) stack, bit for bit the same per matrix. The
+suite hands its map to the char-poly and commutativity checkers as a stack evaluator
+and evaluates all its injectivity draws in one call, so the map is called once per
+chunk of probes, not once per probe.
 """
 
+import cmath
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +25,13 @@ from .algebra import BlockAlgebra, block_algebra, matrix_units, random_elements
 from .errors import NotFinite, NotJordanEmbedding
 from .linalg import char_poly, frobenius, identity, inverse, spectral_norm
 from .maps import algebra_map_from_function, is_jordan, recover_form
-from .preservers import char_poly_gap, check_char_poly_preserving, check_commutativity_preserving, commutator_gap
+from .preservers import (
+    _StackEvaluator,
+    char_poly_gap,
+    check_char_poly_preserving,
+    check_commutativity_preserving,
+    commutator_gap,
+)
 
 
 def mobius_contraction(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
@@ -29,47 +41,55 @@ def mobius_contraction(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
     rational expression computes the functional calculus exactly.
     """
     n = algebra.n
-    z = x / (1.0 + spectral_norm(x))
+    z = x / np.asarray(1.0 + spectral_norm(x))[..., None, None]
     return (identity(n) - 3.0 * z) @ inverse(3.0 * identity(n) - z)
 
 
 def det_twist(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
-    """Conjugate by diag(e^{det X}, 1, ..., 1); NotFinite if e^{det X} over- or underflows."""
-    det = char_poly(x)[0]
-    fdiag = np.ones(algebra.n, dtype=np.complex128)
+    """Conjugate by diag(e^{det X}, 1, ..., 1); NotFinite if det X is not finite or
+    e^{det X} over- or underflows (on a stack, for the first such matrix)."""
+    fdiag = np.ones(x.shape[:-2] + (algebra.n,), dtype=np.complex128)
     with np.errstate(all="ignore"):
-        fdiag[0] = np.exp(det)
-        ratio = np.outer(fdiag, 1.0 / fdiag)
-    if not np.isfinite(ratio).all():
-        raise NotFinite(f"det_twist: e^(det X) with det X = {complex(det)} is out of range")
-    np.fill_diagonal(ratio, 1.0)  # f_i / f_i is exactly 1
+        det = char_poly(x)[..., 0]
+        fdiag[..., 0] = np.exp(det)
+        ratio = fdiag[..., :, None] * (1.0 / fdiag)[..., None, :]
+    bad = np.flatnonzero(~np.isfinite(ratio).all(axis=(-2, -1)))
+    if bad.size:
+        first = complex(np.reshape(det, -1)[bad[0]])
+        which = f"matrix {bad[0]} of the stack: " if x.ndim > 2 else ""
+        if cmath.isfinite(first):
+            raise NotFinite(f"det_twist: {which}e^(det X) with det X = {first} is out of range")
+        raise NotFinite(f"det_twist: {which}det X = {first} is not finite")
+    diag = np.arange(algebra.n)
+    ratio[..., diag, diag] = 1.0  # f_i / f_i is exactly 1
     return x * ratio
 
 
 def eigen_swap(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
     """Swap the first two diagonal entries of exactly-diagonal matrices with
-    exactly-distinct diagonals; fix everything else.
+    exactly-distinct diagonals; fix everything else. A (..., n, n) stack is
+    mapped matrix by matrix.
 
     Distinctness and diagonality are decided on the stored entries with no
     tolerance, matching the set-theoretic branch of the map.
     """
     n = algebra.n
     out = x.copy()
-    offdiag = x[~np.eye(n, dtype=bool)]
-    if offdiag.size and np.any(offdiag != 0):
+    if n < 2:
         return out
-    diag = np.diag(x)
-    if len(set(diag.tolist())) != n or n < 2:
-        return out
-    out[0, 0], out[1, 1] = diag[1], diag[0]
+    diag = np.diagonal(x, axis1=-2, axis2=-1)
+    i, j = np.triu_indices(n, 1)
+    swap = ~np.any(x[..., ~np.eye(n, dtype=bool)] != 0, axis=-1) & np.all(diag[..., i] != diag[..., j], axis=-1)
+    out[swap, 0, 0], out[swap, 1, 1] = diag[swap, 1], diag[swap, 0]
     return out
 
 
 def block_projection(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
-    """Keep the diagonal blocks, zero every strictly-off-diagonal-block cell."""
+    """Keep the diagonal blocks, zero every strictly-off-diagonal-block cell
+    (of each matrix of a (..., n, n) stack)."""
     mask = algebra.support & algebra.support.T
     out = x.copy()
-    out[~mask] = 0.0
+    out[..., ~mask] = 0.0
     return out
 
 
@@ -125,6 +145,7 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
     """Run the hypothesis suite on one gallery map: per property, ``holds`` and its ``worst`` value."""
     spec = GALLERY[name]
     alg, fn = spec.algebra, spec.evaluator
+    stacked = _StackEvaluator(fn)  # every gallery map takes (k, n, n) stacks
     f_limit = fn(spec.limit)
     jump = frobenius(fn(spec.limit + 1e-12 * spec.direction) - f_limit) / max(1.0, frobenius(f_limit))
     a, b = spec.linear_pair
@@ -134,7 +155,7 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
     def image_gap() -> float:
         """The smallest image distance over all pairs of distinct random inputs, each evaluated once."""
         xs = random_elements(alg, seed, budget)
-        fxs = np.array([fn(x) for x in xs])
+        fxs = fn(xs)
         gap = np.inf
         for i in range(0, budget, 16):  # a block of 16 draws against every draw up to its end
             distinct = np.any(xs[i : i + 16, None] != xs[: i + 16], axis=(2, 3))
@@ -148,11 +169,11 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
         ),
         "commutativity_preserving": _hypothesis(
             spec.commuting_pair, lambda w: commutator_gap(fn(w[0]), fn(w[1])), lambda v: v <= 1e-9,
-            lambda: check_commutativity_preserving(fn, alg, pairs=budget, seed=seed, tol=1e-9).worst,
+            lambda: check_commutativity_preserving(stacked, alg, pairs=budget, seed=seed, tol=1e-9).worst,
         ),
         "spectrum_preserving": _hypothesis(
             spec.spectrum_witness, lambda w: char_poly_gap(w[None], fn(w)[None])[0], lambda v: v <= 1e-8,
-            lambda: check_char_poly_preserving(fn, alg, samples=budget, seed=seed, tol=1e-8).worst,
+            lambda: check_char_poly_preserving(stacked, alg, samples=budget, seed=seed, tol=1e-8).worst,
         ),
         "linear": {"holds": additivity <= 1e-10, "worst": additivity},
         "jordan": {"holds": False, "worst": None},

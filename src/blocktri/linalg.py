@@ -7,8 +7,10 @@ one LAPACK eigenvalue at a time with the null vector from a LAPACK SVD and a
 Householder reflector. The rest is self-contained: Gauss-Jordan inversion
 with partial pivoting (the fallback that decides Singular and
 IllConditioned) and the Faddeev-LeVerrier recursion for characteristic
-polynomials. ``eigenvalues``, ``char_poly`` and ``frobenius`` also take
-(..., n, n) stacks of matrices.
+polynomials. ``eigenvalues``, ``char_poly``, ``frobenius``, ``inverse`` and
+``spectral_norm`` also take (..., n, n) stacks of matrices; LAPACK runs on
+each matrix of a stack exactly as on the matrix alone, so a stacked result is
+bit for bit the per-matrix one.
 """
 
 from __future__ import annotations
@@ -99,7 +101,12 @@ def inverse(a: np.ndarray) -> np.ndarray:
     exceeds 1e12. LAPACK's inverse is returned when n * cond_1 < 1e12, where
     1/|u_kk| <= ||U^-1||_1 <= n ||A^-1||_1 keeps every pivot off the threshold;
     every other case runs the Gauss-Jordan elimination.
+
+    A (..., n, n) stack is inverted matrix by matrix by the same rule, and the
+    first matrix that fails raises its own error.
     """
+    if np.ndim(a) > 2:
+        return _inverse_stack(as_stack(a))
     a = as_matrix(a, square=True)
     n = a.shape[0]
     try:
@@ -109,6 +116,24 @@ def inverse(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     return _gauss_jordan(a)
+
+
+def _inverse_stack(a: np.ndarray) -> np.ndarray:
+    """``inverse`` of each matrix of a finite (..., n, n) stack: one stacked
+    LAPACK call, then Gauss-Jordan for the members whose condition test fails."""
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    if flat.size == 0:
+        return np.empty_like(a)
+    try:
+        inv = np.linalg.inv(flat)
+    except np.linalg.LinAlgError:  # LAPACK met an exactly singular member: decide each alone
+        return np.stack([inverse(m) for m in flat]).reshape(a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test, as on one matrix
+        failed = ~(n * _norm1(flat) * _norm1(inv) < CONDITION_BOUND)
+    for i in np.flatnonzero(failed):
+        inv[i] = _gauss_jordan(flat[i])
+    return inv.reshape(a.shape)
 
 
 def _gauss_jordan(a: np.ndarray) -> np.ndarray:
@@ -136,8 +161,10 @@ def _gauss_jordan(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _norm1(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
+def _norm1(a: np.ndarray):
+    """The 1-norm (largest column sum) of a nonempty matrix, as a float; of each matrix of a stack, as an array."""
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    return float(norm) if a.ndim == 2 else norm
 
 
 def char_poly(a: np.ndarray) -> np.ndarray:
@@ -226,9 +253,13 @@ def _lapack(name: str, *args, **kwargs):
         raise NoConvergence(f"LAPACK {name} did not converge: {exc}") from exc
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value, from LAPACK's singular values; LAPACK's
-    failure to converge raises NoConvergence."""
+def spectral_norm(a: np.ndarray):
+    """Largest singular value, from LAPACK's singular values, as a float; of
+    each matrix of a (..., n, n) stack, as an array. LAPACK's failure to
+    converge raises NoConvergence."""
+    if np.ndim(a) > 2:
+        a = as_stack(a)
+        return _lapack("svd", a, compute_uv=False)[..., 0] if a.size else np.zeros(a.shape[:-2])
     a = as_matrix(a)
     return float(_lapack("svd", a, compute_uv=False)[0]) if a.size else 0.0
 

@@ -9,9 +9,11 @@ matching noisy eigenvalue lists.
 Random probes are drawn from the seed in a fixed order, PROBE_CHUNK at a
 time with one generator call per chunk (``random_elements``,
 ``random_commuting_pairs``; the stream is the same as one draw at a time),
-and evaluated in stacks of at most PROBE_CHUNK; a black-box evaluator is
-called once per probe. The matrix-unit pairs of an AlgebraMap come from its
-``unit_pairs``. A residual that is not finite counts as a violation.
+and evaluated in stacks of at most PROBE_CHUNK. A black-box evaluator is
+called once per probe; one that maps whole stacks (the gallery's maps, handed
+over wrapped in ``_StackEvaluator``) is called once per stack. The
+matrix-unit pairs of an AlgebraMap come from its ``unit_pairs``. A residual
+that is not finite counts as a violation.
 """
 
 from __future__ import annotations
@@ -53,12 +55,20 @@ class PreserverReport:
     witnesses: dict = field(default_factory=dict)
 
 
+class _StackEvaluator(NamedTuple):
+    """A black-box map that takes a whole (k, n, n) stack, called once per stack."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+
+
 def _as_evaluator(m, algebra) -> tuple[BlockAlgebra, Callable[[np.ndarray], np.ndarray]]:
     """The domain and an evaluator of (k, n, n) stacks."""
     if isinstance(m, AlgebraMap):
         return m.domain, lambda xs: apply_batch(m, xs)
     if algebra is None:
         raise ValueError("a black-box map needs an explicit algebra")
+    if isinstance(m, _StackEvaluator):
+        return block_algebra(algebra), m.fn
     return block_algebra(algebra), lambda xs: np.stack([m(x) for x in xs]).astype(np.complex128)
 
 
@@ -133,7 +143,7 @@ def check_commutativity_preserving(
     alg, fn = _as_evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     units = matrix_units(alg)
-    unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, fn(units))
+    unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, fn(np.stack(units)))
     commuting = unit_pairs.commuting
     p, q = unit_pairs.p[commuting], unit_pairs.q[commuting]
     tally = Tally(tol)

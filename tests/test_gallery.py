@@ -1,5 +1,6 @@
 """The four counterexample maps: satisfied and violated properties."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -23,11 +24,14 @@ from blocktri import (
     schur,
     spectral_norm,
 )
+from blocktri.algebra import random_elements
 from blocktri.linalg import char_poly, frobenius
+from blocktri.maps import PROBE_CHUNK
 
-from conftest import gaussian
+from conftest import gaussian, same_bits
 
 HYPOTHESES = ("continuous", "injective", "commutativity_preserving", "spectrum_preserving")
+MAPS = (mobius_contraction, det_twist, eigen_swap, block_projection)
 
 
 def unit(n, i, j):
@@ -131,14 +135,25 @@ class TestDetTwist:
             diff = np.abs(char_poly(det_twist(alg, x)) - char_poly(x))
             assert np.max(diff) <= 1e-8 * max(1.0, frobenius(x) ** 3)
 
-    @pytest.mark.parametrize("scale", [10.0, -10.0])
+    @pytest.mark.parametrize("scale", [10.0, -10.0, 1e200, -1e200])
     def test_out_of_range_twist_raises(self, scale):
-        # det(10 I) = 1000: e^1000 overflows and e^-1000 underflows to 0
+        # det(10 I) = 1000: e^1000 overflows and e^-1000 underflows to 0;
+        # det(1e200 I) overflows in the char-poly recursion itself
         alg = block_algebra((2, 1))
+        reason = "is out of range" if abs(scale) < 1e100 else "is not finite"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NotFinite, match="det_twist"):
+            with pytest.raises(NotFinite, match=f"^det_twist: .*det X = .* {reason}$"):
                 det_twist(alg, scale * np.eye(3, dtype=complex))
+
+    def test_stack_names_first_failing_matrix(self):
+        alg, eye = block_algebra((2, 1)), np.eye(3, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite, match=r"^det_twist: matrix 1 of the stack: e\^\(det X\) .* out of range$"):
+                det_twist(alg, np.stack([eye, 10 * eye, 1e200 * eye]))
+            with pytest.raises(NotFinite, match=r"^det_twist: matrix 2 of the stack: det X = .* is not finite$"):
+                det_twist(alg, np.stack([eye, -eye, -1e200 * eye, 10 * eye]).reshape(2, 2, 3, 3))
 
 
 class TestEigenSwap:
@@ -218,7 +233,68 @@ class TestBlockProjection:
             recover_form(m)
 
 
+def reference_eigen_swap(x):
+    """The set-theoretic rule on one matrix: swap the first two diagonal entries
+    when x is exactly diagonal with exactly distinct diagonal entries."""
+    n = x.shape[0]
+    out = x.copy()
+    if not np.any(x[~np.eye(n, dtype=bool)] != 0) and len(set(np.diag(x).tolist())) == n >= 2:
+        out[0, 0], out[1, 1] = x[1, 1], x[0, 0]
+    return out
+
+
+class TestStackedMaps:
+    """Each map on a (..., n, n) stack against one call per matrix, bit for bit."""
+
+    @staticmethod
+    def per_matrix(fn, xs):
+        return np.stack([fn(x) for x in xs]) if len(xs) else np.zeros(xs.shape, dtype=np.complex128)
+
+    @pytest.mark.parametrize("fn", MAPS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("parts", [(1,), (1, 2), (2, 1), (1, 1, 1), (2, 3, 3)])
+    def test_random_stacks(self, rng, fn, parts):
+        alg = block_algebra(parts)
+        n = alg.n
+        xs = random_elements(alg, rng, 12)
+        want = self.per_matrix(lambda x: fn(alg, x), xs)
+        assert same_bits(fn(alg, xs), want)
+        assert same_bits(fn(alg, xs.reshape(3, 4, n, n)), want.reshape(3, 4, n, n))
+        assert same_bits(fn(alg, xs[:0]), np.zeros((0, n, n), dtype=np.complex128))
+
+    def test_eigen_swap_on_diagonal_members(self, rng):
+        alg = block_algebra((1, 1, 1))
+        diagonals = [[1, 2, 3], [1, 1, 3], [3, 2, 3], [0.0, -0.0, 1], [-0.0, 1, 2], [2, 0.0, -0.0], [1j, -1j, 0]]
+        members = [np.diag(np.array(d, dtype=np.complex128)) for d in diagonals]
+        members += [members[0] + 1e-300 * unit(3, 0, 1), members[4] + unit(3, 1, 2)]
+        members += list(random_elements(alg, rng, 3))
+        xs = np.stack([members[i] for i in rng.permutation(len(members))])
+        want = self.per_matrix(reference_eigen_swap, xs)
+        assert same_bits(self.per_matrix(lambda x: eigen_swap(alg, x), xs), want)
+        assert same_bits(eigen_swap(alg, xs), want)
+        assert np.count_nonzero(np.any(want != xs, axis=(1, 2))) == 3  # [1,2,3], [-0,1,2], [1j,-1j,0]
+
+
 class TestGallerySuites:
+    @pytest.mark.parametrize("name", sorted(GALLERY))
+    def test_evaluator_called_once_per_chunk(self, monkeypatch, name):
+        # a wrapped evaluator, as a tracer installs it, still gets whole probe stacks
+        spec, calls = GALLERY[name], []
+
+        def counted(x):
+            calls.append(1)
+            return spec.evaluator(x)
+
+        monkeypatch.setitem(GALLERY, name, dataclasses.replace(spec, evaluator=counted))
+        counts = []
+        for budget in (100, 100 + 2 * PROBE_CHUNK):
+            calls.clear()
+            run_gallery_suite(name, budget=budget, seed=0)
+            counts.append(len(calls))
+        assert counts[0] <= 30  # was 217-420 with one call per probe
+        # two more chunks: at most one call per chunk for the char-poly probes
+        # and two (one per side) for the commuting pairs
+        assert counts[1] - counts[0] <= 2 * 3
+
     @pytest.mark.parametrize("name", list(GALLERY))
     def test_suite_runs(self, name):
         report = run_gallery_suite(name, budget=20, seed=5)

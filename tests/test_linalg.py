@@ -10,6 +10,7 @@ from numpy.polynomial.polynomial import polyval
 import blocktri
 from blocktri import (
     IllConditioned,
+    MismatchedDimension,
     NoConvergence,
     NotFinite,
     SchurForm,
@@ -24,7 +25,7 @@ from blocktri import (
 )
 from blocktri.linalg import CONDITION_BOUND, _gauss_jordan, frobenius
 
-from conftest import det_oracle, gaussian, match_multisets, power_iteration_norm, qr_schur
+from conftest import det_oracle, gaussian, match_multisets, power_iteration_norm, qr_schur, same_bits
 
 
 def unit(n, i, j):
@@ -243,6 +244,63 @@ class TestInverseAgainstGaussJordan:
 
     def test_empty(self):
         assert inverse(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
+
+
+class TestStacks:
+    """``inverse`` and ``spectral_norm`` on (..., n, n) stacks against one call per matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_spectral_norm_bit_identical(self, rng, n):
+        a = np.stack([gaussian(rng, n) for _ in range(7)] + [np.zeros((n, n))])
+        want = np.array([spectral_norm(x) for x in a])
+        assert same_bits(spectral_norm(a), want)
+        assert same_bits(spectral_norm(a.reshape(4, 2, n, n)), want.reshape(4, 2))
+        assert same_bits(spectral_norm(a[:0]), np.zeros(0))
+        assert isinstance(spectral_norm(a[0]), float)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_inverse_bit_identical(self, rng, n):
+        a = np.stack([gaussian(rng, n) for _ in range(7)])
+        want = np.stack([inverse(x) for x in a])
+        assert same_bits(inverse(a), want)
+        assert same_bits(inverse(a.reshape(7, 1, n, n)), want.reshape(7, 1, n, n))
+        assert inverse(a[:0]).shape == (0, n, n)
+
+    def test_inverse_on_both_sides_of_guard(self, rng):
+        # every member that inverts alone, LAPACK's and Gauss-Jordan's alike, in one stack per n
+        sides = set()
+        for n in (2, 3, 8, 16):
+            members = [a for a in near_singular_family(rng) if a.shape[0] == n]
+            members = [a for a in members if not isinstance(inverse_outcome(inverse, a), type)]
+            sides |= {n * norm1(a) * norm1(inverse(a)) < CONDITION_BOUND for a in members}
+            assert same_bits(inverse(np.stack(members)), np.stack([inverse(a) for a in members]))
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[1.0, 2.0], [2.0, 4.0]]),  # exactly singular: LAPACK fails the whole stack
+            np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),  # a pivot under the threshold
+            np.array([[1.0, 1e5], [0.0, 1e-5]]),  # ill-conditioned
+            np.zeros((2, 2)),
+        ],
+    )
+    def test_first_failing_member_raises_its_error(self, rng, bad):
+        with pytest.raises((Singular, IllConditioned)) as alone:
+            inverse(bad)
+        ill = np.array([[1.0, 1e5], [0.0, 1e-5]], dtype=complex)
+        for stack in ([gaussian(rng, 2), bad, ill, gaussian(rng, 2)], [bad, np.zeros((2, 2))]):
+            with pytest.raises(type(alone.value)) as got:
+                inverse(np.stack(stack).astype(complex))
+            assert str(got.value) == str(alone.value)
+
+    def test_stack_validation(self):
+        with pytest.raises(NotFinite):
+            inverse(np.full((2, 3, 3), np.nan + 0j))
+        with pytest.raises(NotFinite):
+            spectral_norm(np.full((2, 3, 3), np.inf + 0j))
+        with pytest.raises(MismatchedDimension):
+            inverse(np.zeros((2, 3, 4)))
 
 
 class TestSpectralNormAgainstPowerIteration:
