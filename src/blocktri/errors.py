@@ -54,7 +54,7 @@ class WrongAlgebra(BlockTriError):
 
 
 class NotJordanEmbedding(BlockTriError):
-    """The linear map failed a structural or verification check of recovery."""
+    """Recovery found no form X -> T X T^{-1} or X -> T X^t T^{-1} that matches the map."""
 
 
 class InvalidDocument(BlockTriError):

@@ -3,12 +3,23 @@ and independent reference implementations used as oracles."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from blocktri import NoConvergence, SchurForm, block_algebra, random_element, spectral_norm
+from blocktri import (
+    AlgebraMap,
+    JordanForm,
+    NoConvergence,
+    Orientation,
+    SchurForm,
+    block_algebra,
+    build_form_map,
+    random_element,
+    spectral_norm,
+)
 from blocktri.linalg import as_matrix, frobenius, identity
 
 DEFLATION_REL = 1e-12
@@ -256,6 +267,37 @@ def bounded_similarity(parts, rng, diag_spread: float = 0.0) -> np.ndarray:
         scales = np.exp(diag_spread * rng.uniform(-1.0, 1.0, alg.n))
         t = t * scales[None, :]
     return t
+
+
+def conditioned_similarity(n: int, rng, cond: float) -> np.ndarray:
+    """U diag(sigma) V^H with Haar-random unitaries U, V and singular values
+    spaced geometrically from 1 down to 1/cond, so cond_2(T) = cond (n >= 2)."""
+    u, _ = np.linalg.qr(gaussian(rng, n))
+    v, _ = np.linalg.qr(gaussian(rng, n))
+    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.conj().T
+
+
+def jordan_map(parts, rng, cond: float = 1.0, orientation=Orientation.INNER, noise: float = 0.0) -> AlgebraMap:
+    """The Jordan map X -> T X T^{-1} (or T X^t T^{-1}) on ``parts``, T from
+    ``conditioned_similarity``, plus complex Gaussian noise on each unit image
+    of Frobenius norm ``noise`` times that image's norm."""
+    alg = block_algebra(parts)
+    c = build_form_map(alg, JordanForm(orientation, conditioned_similarity(alg.n, rng, cond))).coefficients
+    if noise:
+        g = gaussian(rng, alg.n**2, alg.dim)
+        c = c + g * (noise * np.linalg.norm(c, axis=0) / np.linalg.norm(g, axis=0))
+    return AlgebraMap(alg, c)
+
+
+def agreement_corpus(compositions, conds, noises, seeds=(0,)):
+    """Yield (label, map) for every composition x seed x cond x orientation x
+    noise, the k-th map drawn from ``default_rng([seed, k])``: the corpus on
+    which ``recover_form`` and ``is_jordan`` are compared."""
+    cases = itertools.product(seeds, compositions, conds, Orientation, noises)
+    for k, (seed, parts, cond, orientation, noise) in enumerate(cases):
+        rng = np.random.default_rng([seed, k])
+        label = f"{parts} seed={seed} cond={cond:g} {orientation.value} noise={noise:g}"
+        yield label, jordan_map(parts, rng, cond, orientation, noise)
 
 
 def separated_diagonal(rng, n: int, gap: float = 0.3) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Map representation, Jordan checking, and similarity recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,14 @@ from blocktri import (
     recover_form,
     spectral_norm,
 )
+from blocktri.cli import main
+from blocktri.documents import canonical_json, map_to_document
 from blocktri.linalg import frobenius
+from blocktri.maps import VERIFY_REL
 
-from conftest import bounded_similarity, gaussian
+from conftest import agreement_corpus, bounded_similarity, gaussian
+
+GAP = r"image of unit {} misses the recovered form: relative gap \S+ > 1e-07"
 
 
 def unit(n, i, j):
@@ -210,19 +217,35 @@ class TestRecoverForm:
     @pytest.mark.parametrize(
         "edits, message",
         [
-            ({(0, 3): "zero"}, r"unit \(0, 3\) vanishes"),
-            ({(2, 4): "spread"}, r"unit \(2, 4\) is not cell-concentrated"),
-            ({(0, 3): "spread", (1, 2): "zero"}, r"unit \(0, 3\) is not cell-concentrated"),
-            ({(0, 3): "zero", (1, 2): "spread"}, r"unit \(0, 3\) vanishes"),
-            ({(1, 2): "faint"}, r"unit \(1, 2\) vanishes"),  # spread too, but vanishing is tested first
-            ({(3, 5): "anti"}, "mixed orientations"),
-            ({(4, 4): "spread"}, r"diagonal unit 4 is not rank one"),  # P_4 + P_7 is idempotent
-            ({(5, 5): "double", (2, 2): "zero"}, r"diagonal unit 2 is not rank one"),
-            ({(2, 2): "double", (5, 5): "zero"}, r"diagonal unit 2 is not idempotent"),  # trace 2 as well
+            # each id names the defect the edits plant
+            pytest.param({(0, 3): "zero"}, "recovered similarity is not invertible", id=r"edits0-unit \(0, 3\) vanishes"),
+            pytest.param({(2, 4): "spread"}, GAP.format(r"\(2, 4\)"), id=r"edits1-unit \(2, 4\) is not cell-concentrated"),
+            pytest.param(
+                {(0, 3): "spread", (1, 2): "zero"},
+                GAP.format(r"\(0, 3\)"),
+                id=r"edits2-unit \(0, 3\) is not cell-concentrated",
+            ),
+            pytest.param(
+                {(0, 3): "zero", (1, 2): "spread"}, "recovered similarity is not invertible", id=r"edits3-unit \(0, 3\) vanishes"
+            ),
+            pytest.param({(1, 2): "faint"}, GAP.format(r"\(1, 2\)"), id=r"edits4-unit \(1, 2\) vanishes"),
+            pytest.param({(3, 5): "anti"}, GAP.format(r"\(3, 5\)"), id="edits5-mixed orientations"),
+            pytest.param({(4, 4): "spread"}, GAP.format(r"\(4, 4\)"), id="edits6-diagonal unit 4 is not rank one"),
+            pytest.param(
+                {(5, 5): "double", (2, 2): "zero"},
+                "assembled similarity is not invertible",
+                id="edits7-diagonal unit 2 is not rank one",
+            ),
+            pytest.param(
+                {(2, 2): "double", (5, 5): "zero"},
+                "assembled similarity is not invertible",
+                id="edits8-diagonal unit 2 is not idempotent",
+            ),
         ],
     )
     def test_first_failing_unit_named(self, rng, edits, message):
-        # unit images edited in cell order: the first bad unit is named
+        # unit images edited in cell order: the first unit that misses the
+        # recovered form is named, unless S or T is not invertible
         alg = block_algebra((2, 3, 3))
         t = bounded_similarity(alg.parts, rng)
         c = np.array(build_form_map(alg, JordanForm(Orientation.INNER, t)).coefficients)
@@ -236,15 +259,31 @@ class TestRecoverForm:
             recover_form(AlgebraMap(alg, c))
 
     def test_certification_rejects_one_wrong_unit(self):
-        # steps (1)-(5) read T = I off the diagonal and first-row units; only
-        # the certification on every unit sees phi(E_12) = 2 E_12
+        # T = I is read off the diagonal and first-row units; only the
+        # certification on every unit sees phi(E_12) = 2 E_12, whose gap
+        # ||E_12||_F = 1 is relative to ||2 E_12||_F = 2
         m = identity_map((1, 1, 1))
         c = np.array(m.coefficients)
         c[:, m.domain.cells.index((1, 2))] *= 2.0
         doubled = AlgebraMap(m.domain, c)
-        with pytest.raises(NotJordanEmbedding, match="verification residual exceeds tolerance"):
+        with pytest.raises(NotJordanEmbedding, match=r"image of unit \(1, 2\) misses the recovered form: relative gap 5\.000e-01 > 1e-07"):
             recover_form(doubled)
-        assert form_residual(doubled, JordanForm(Orientation.INNER, np.eye(3, dtype=complex))) == 1.0
+        assert form_residual(doubled, JordanForm(Orientation.INNER, np.eye(3, dtype=complex))) == 0.5
+
+    def test_threshold_on_relative_gap(self):
+        # a diagonal image scaled by 1 + VERIFY_REL stays within the
+        # threshold, one scaled by 1 + 2 VERIFY_REL does not
+        m = identity_map((1, 1))
+        for scale, accepted in ((1.0 + VERIFY_REL, True), (1.0 + 2 * VERIFY_REL, False)):
+            c = np.array(m.coefficients)
+            c[:, m.domain.cells.index((1, 1))] *= scale
+            gap = form_residual(AlgebraMap(m.domain, c), JordanForm(Orientation.INNER, np.eye(2, dtype=complex)))
+            assert (gap <= VERIFY_REL) is accepted
+            if accepted:
+                assert recover_form(AlgebraMap(m.domain, c)).orientation is Orientation.INNER
+            else:
+                with pytest.raises(NotJordanEmbedding, match=GAP.format(r"\(1, 1\)")):
+                    recover_form(AlgebraMap(m.domain, c))
 
     @pytest.mark.parametrize("parts", [(2, 3, 3), (1,) * 6, (4, 4)])
     @pytest.mark.parametrize("orientation", list(Orientation))
@@ -271,6 +310,67 @@ class TestRecoverForm:
             x = random_element(alg, rng)
             gap = frobenius(apply(m, x) - evaluate_form(rec, x))
             assert gap <= 1e-7 * max(1.0, frobenius(x))
+
+
+def degenerate_map(parts, kind: str, rng) -> AlgebraMap:
+    """A map that recovery must reject without a numpy warning."""
+    alg = block_algebra(parts)
+    if kind == "projection":
+        return algebra_map_from_function(alg, lambda x: block_projection(alg, x))
+    c = np.array(build_form_map(alg, JordanForm(Orientation.INNER, bounded_similarity(parts, rng))).coefficients)
+    if kind == "zero":
+        c[:] = 0.0
+    elif kind == "nan":  # where there is one, in a unit that only the certification reads
+        unread = [k for k, (i, j) in enumerate(alg.cells) if 0 < i != j]
+        c[0, (unread or [0])[-1]] = np.nan
+    elif kind == "huge":
+        c *= 1e300
+    else:  # phi(E_01) = 0: the first-row rescaling divides by zero
+        c[:, alg.cells.index((0, 1))] = 0.0
+    return AlgebraMap(alg, c)
+
+
+DEGENERATE = [
+    (parts, kind)
+    for parts in [(1,), (2,), (1, 2), (4, 4, 4, 4)]
+    for kind in ["zero", "nan", "huge", "projection", "e01_zero"]
+    # block_projection is the identity on one block, and n = 1 has no E_01
+    if not (kind == "projection" and len(parts) == 1) and not (kind == "e01_zero" and parts == (1,))
+]
+
+
+class TestDegenerateRecovery:
+    @pytest.mark.parametrize("parts, kind", DEGENERATE, ids=[f"{kind}-{parts}" for parts, kind in DEGENERATE])
+    def test_rejected_without_warning(self, rng, tmp_path, capsys, parts, kind):
+        m = degenerate_map(parts, kind, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotJordanEmbedding):
+                recover_form(m)
+            if kind == "nan":
+                return  # JSON has no NaN: such a document exits 2 at the document boundary
+            path = tmp_path / "map.json"
+            path.write_text(canonical_json(map_to_document(m)), encoding="utf-8")
+            assert main(["recover", str(path)]) == 4
+        assert "not a Jordan embedding" in capsys.readouterr().err
+
+
+class TestAgreementWithIsJordan:
+    def test_recovery_rejects_no_map_is_jordan_accepts(self):
+        # 150 maps: Jordan maps with cond(T) up to 1e4 and relative noise up to
+        # 1e-2; every map is_jordan accepts, recovery must accept as well
+        compositions = [(1, 2), (2, 1), (1, 1, 1), (2, 3, 3), (4, 4, 4, 4)]
+        corpus = list(agreement_corpus(compositions, [1.0, 1e2, 1e4], [0.0, 1e-12, 1e-9, 1e-6, 1e-2]))
+        assert len(corpus) == 150
+        accepted = 0
+        for label, m in corpus:
+            if is_jordan(m).ok:
+                accepted += 1
+                try:
+                    recover_form(m)
+                except NotJordanEmbedding as exc:
+                    pytest.fail(f"{label}: is_jordan accepts, recovery rejects: {exc}")
+        assert accepted >= 50  # the slice exercises the accepting side of both deciders
 
 
 class TestOrientationFeasible:
