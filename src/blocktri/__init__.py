@@ -28,8 +28,6 @@ from .canonical import (
     IdempotentForm,
     InAlgebraDiagonalization,
     diagonalize_in_algebra,
-    shear,
-    shear_conjugate_unit,
     triangular_idempotent_form,
 )
 from .errors import (
@@ -39,7 +37,6 @@ from .errors import (
     InvalidDocument,
     MismatchedDimension,
     NoConvergence,
-    NonzeroFirstComponent,
     NotFinite,
     NotIdempotent,
     NotJordanEmbedding,
@@ -75,10 +72,8 @@ from .maps import (
     apply,
     apply_batch,
     build_form_map,
-    evaluate_form,
     form_residual,
     is_jordan,
-    orientation_feasible,
     recover_form,
 )
 from .preservers import (
@@ -91,5 +86,7 @@ from .preservers import (
     full_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

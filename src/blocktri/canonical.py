@@ -1,10 +1,9 @@
 """Constructive canonical forms inside a block algebra.
 
-Three constructions: diagonalization of a distinct-eigenvalue matrix by a
+Two constructions: diagonalization of a distinct-eigenvalue matrix by a
 similarity inside its own algebra (each column a LAPACK eigenvector of its
-diagonal block, extended upward by a linear solve), a closed-form similarity
-taking a diagonal unit to a rank-one triangular idempotent, and the rank-one
-shear family I + e_0 y^t with its closed-form conjugation identities.
+diagonal block, extended upward by a linear solve), and a closed-form similarity
+taking a diagonal unit to a rank-one triangular idempotent.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .algebra import BlockAlgebra, block_algebra, membership
 from .errors import (
     ConstraintViolated,
     IllConditioned,
-    NonzeroFirstComponent,
     NotIdempotent,
     NotRankOne,
     NotTriangular,
@@ -175,34 +173,3 @@ def triangular_idempotent_form(r: np.ndarray) -> IdempotentForm:
     t[i, i + 1 :] = -r[i, i + 1 :] / r[i, i]
     t[:i, i + 1 :] = np.outer(t[:i, i], t[i, i + 1 :])
     return IdempotentForm(similarity=t, index=i)
-
-
-def shear(y) -> np.ndarray:
-    """The rank-one shear I + e_0 y^t for a vector y with y[0] = 0."""
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if y.size == 0 or y[0] != 0:
-        raise NonzeroFirstComponent("shear vector must start with an exact zero")
-    s = identity(y.size)
-    s[0, :] += y
-    return s
-
-
-def shear_conjugate_unit(y, i: int) -> np.ndarray:
-    """Closed form of shear(y)^{-1} E_ii shear(y), built without products.
-
-    Equals E_00 + e_0 y^t for i = 0, and E_ii - y[i] E_0i for i > 0.
-    """
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if y.size == 0 or y[0] != 0:
-        raise NonzeroFirstComponent("shear vector must start with an exact zero")
-    n = y.size
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for size {n}")
-    out = np.zeros((n, n), dtype=np.complex128)
-    if i == 0:
-        out[0, 0] = 1.0
-        out[0, 1:] = y[1:]
-    else:
-        out[i, i] = 1.0
-        out[0, i] = -y[i]
-    return out

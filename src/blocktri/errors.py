@@ -45,10 +45,6 @@ class NotTriangular(BlockTriError):
     """The matrix is not upper-triangular within tolerance."""
 
 
-class NonzeroFirstComponent(BlockTriError):
-    """A shear vector must have zero first component."""
-
-
 class WrongAlgebra(BlockTriError):
     """A matrix does not belong to the required block algebra."""
 

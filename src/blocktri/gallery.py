@@ -5,13 +5,14 @@ preserve commutativity and spectrum. A Moebius contraction breaks spectrum, a
 determinant-driven conjugation twist commutativity, an eigenvalue swap on distinct
 diagonals continuity, and the block-diagonal projection injectivity.
 ``run_gallery_suite`` reports the same seven properties for every map: the four
-hypotheses, ``linear``, ``jordan`` and ``recovery_rejects``. A hypothesis is checked
-on its spec's witness first, and on seeded random probes only if that does not refute it.
+hypotheses, ``linear``, ``jordan`` and ``recovery_rejects``. Continuity and linearity are
+tested at the same inputs for every map. A spec carries only its optional witnesses, which
+are checked first; seeded random probes decide each hypothesis they do not refute.
 
 Every map takes one matrix or a (..., n, n) stack, bit for bit the same per matrix. The
-suite hands its map to the char-poly and commutativity checkers as a stack evaluator
-and evaluates all its injectivity draws in one call, so the map is called once per
-chunk of probes, not once per probe.
+suite evaluates its six continuity and additivity inputs in one call, hands its map to the
+checkers as a stack evaluator and evaluates all its injectivity draws in one call, so the
+map is called once per chunk of probes, not once per probe.
 """
 
 import cmath
@@ -95,41 +96,39 @@ def block_projection(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CounterexampleSpec:
-    """A gallery map, the property it breaks and the witnesses its suite checks first.
-
-    Continuity fails if a step of 1e-12 from ``limit`` along ``direction`` moves the image by over
-    1e-6 * max(1, ||f(limit)||_F), as no map Lipschitz there with a constant below 1e6 does.
-    ``linear_pair`` (a, b) tests f(a + b) = f(a) + f(b); the optional witnesses refute the rest."""
+    """A gallery map, the property it breaks and the optional witnesses its suite checks first."""
 
     name: str
     algebra: BlockAlgebra
     evaluator: Callable[[np.ndarray], np.ndarray]
     violated_property: str
-    limit: np.ndarray
-    direction: np.ndarray
-    linear_pair: tuple[np.ndarray, np.ndarray]
     equal_images: tuple[np.ndarray, np.ndarray] | None = None
     commuting_pair: tuple[np.ndarray, np.ndarray] | None = None
     spectrum_witness: np.ndarray | None = None
 
 
 _E = dict(zip(block_algebra((3,)).cells, matrix_units(block_algebra((3,)))))  # every gallery map has n = 3
-_L = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
 _A = _E[0, 1] + _E[1, 0]  # commutes with A + 2I; det_twist's images of the two do not commute
+
+# Every row's inputs: continuity fails if a step of 1e-12 from _LIMIT along E_01 moves the image by
+# over 1e-6 * max(1, ||f(_LIMIT)||_F), as no map Lipschitz there with a constant below 1e6 does;
+# _ADDENDS (a, b) test f(a + b) = f(a) + f(b) and sum to _LIMIT, which eigen_swap moves.
+_LIMIT = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
+_DIRECTION = _E[0, 1]
+_ADDENDS = (_LIMIT + _DIRECTION, -_DIRECTION)
 
 
 def _spec(name: str, parts, fn, violated: str, **witnesses) -> CounterexampleSpec:
-    """L = diag(1, 2, 3), approached along E_01; (L + E_01, -E_01) sums to L, which eigen_swap moves."""
-    alg, d = block_algebra(parts), _E[0, 1]
-    return CounterexampleSpec(name, alg, lambda x: fn(alg, x), violated, _L, d, (_L + d, -d), **witnesses)
+    alg = block_algebra(parts)
+    return CounterexampleSpec(name, alg, lambda x: fn(alg, x), violated, **witnesses)
 
 
 GALLERY: dict[str, CounterexampleSpec] = {
     spec.name: spec for spec in (
-        _spec("mobius_contraction", (1, 2), mobius_contraction, "spectrum_preserving", spectrum_witness=0 * _L),
+        _spec("mobius_contraction", (1, 2), mobius_contraction, "spectrum_preserving", spectrum_witness=0 * _LIMIT),
         _spec("det_twist", (2, 1), det_twist, "commutativity_preserving", commuting_pair=(_A, _A + 2 * identity(3))),
         _spec("eigen_swap", (1, 1, 1), eigen_swap, "continuous"),
-        _spec("block_projection", (1, 2), block_projection, "injective", equal_images=(_E[0, 1], 0 * _L)),
+        _spec("block_projection", (1, 2), block_projection, "injective", equal_images=(_E[0, 1], 0 * _LIMIT)),
     )
 }
 
@@ -146,11 +145,10 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
     spec = GALLERY[name]
     alg, fn = spec.algebra, spec.evaluator
     stacked = _StackEvaluator(fn)  # every gallery map takes (k, n, n) stacks
-    f_limit = fn(spec.limit)
-    jump = frobenius(fn(spec.limit + 1e-12 * spec.direction) - f_limit) / max(1.0, frobenius(f_limit))
-    a, b = spec.linear_pair
-    fa, fb = fn(a), fn(b)
-    additivity = max(frobenius(fn(0 * a)), frobenius(fn(a + b) - fa - fb)) / max(1.0, frobenius(fa) + frobenius(fb))
+    a, b = _ADDENDS
+    f_limit, f_step, fa, fb, f_zero, f_sum = fn(np.stack([_LIMIT, _LIMIT + 1e-12 * _DIRECTION, a, b, 0 * a, a + b]))
+    jump = frobenius(f_step - f_limit) / max(1.0, frobenius(f_limit))
+    additivity = max(frobenius(f_zero), frobenius(f_sum - fa - fb)) / max(1.0, frobenius(fa) + frobenius(fb))
 
     def image_gap() -> float:
         """The smallest image distance over all pairs of distinct random inputs, each evaluated once."""

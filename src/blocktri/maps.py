@@ -31,14 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    BlockAlgebra,
-    Embedding,
-    block_algebra,
-    embeds,
-    matrix_units,
-    random_elements,
-)
+from .algebra import BlockAlgebra, block_algebra, matrix_units, random_elements
 from .errors import (
     IllConditioned,
     MismatchedDimension,
@@ -150,14 +143,6 @@ def apply(m: AlgebraMap, x: np.ndarray) -> np.ndarray:
     return apply_batch(m, as_matrix(x)[None])[0]
 
 
-def evaluate_form(form: JordanForm, x: np.ndarray) -> np.ndarray:
-    """Evaluate the form directly by conjugation (independent of AlgebraMap),
-    on a matrix or on a (k, n, n) stack."""
-    if form.orientation is Orientation.ANTI_TRANSPOSE:
-        x = np.swapaxes(x, -1, -2)
-    return form.t @ x @ inverse(form.t)
-
-
 def probe_chunks(probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """Stack a sequence of equal-shape probes in order, PROBE_CHUNK at a time.
 
@@ -262,19 +247,6 @@ def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> Jo
     return JordanCheck(ok=tally.ok, worst_residual=tally.worst)
 
 
-def orientation_feasible(algebra, orientation: Orientation, codomain=None) -> bool:
-    """Whether maps of the given orientation can land inside ``codomain``.
-
-    With codomain None the target is all of M_n and everything is feasible;
-    for an endomap (codomain equal to the algebra itself) the transposed
-    orientation needs the flipped algebra to fit inside the codomain.
-    """
-    if codomain is None:
-        return True
-    own = Embedding.INNER_ONLY if orientation is Orientation.INNER else Embedding.ANTI_ONLY
-    return embeds(algebra, codomain) in (own, Embedding.BOTH)
-
-
 def _unit_gaps(m: AlgebraMap, form: JordanForm) -> np.ndarray:
     """||phi(E_p) - form(E_p)||_F / max(1, ||phi(E_p)||_F) for each matrix
     unit E_p, in cell order, from the coefficient columns (no unit-image copies)."""
@@ -305,7 +277,8 @@ def recover_form(m: AlgebraMap) -> JordanForm:
     (``form_residual``): by the characterization of Jordan embeddings, that
     certificate alone decides the map. No step draws random numbers. Any
     failure raises NotJordanEmbedding, naming the first unit, in cell order,
-    that misses the form, or saying that S or T is not invertible.
+    that misses the form, or saying that the diagonal-unit images overflow or
+    that S or T is not invertible.
     """
     return _recover_certified(m)[0]
 
@@ -314,9 +287,10 @@ def recover_form(m: AlgebraMap) -> JordanForm:
 def _recover_certified(m: AlgebraMap) -> tuple[JordanForm, float]:
     """``recover_form`` and the ``form_residual`` that certified its result.
 
-    Reads only the 2n - 1 columns of the diagonal and first-row units; a zero,
-    non-finite or degenerate image surfaces as a non-invertible S or T or as a
-    failed certification, never as a warning.
+    Reads only the 2n - 1 columns of the diagonal and first-row units. Overflowing
+    or non-finite diagonal-unit images are named as such; any other zero, non-finite
+    or degenerate image surfaces as a non-invertible S or T or as a failed
+    certification, never as a warning.
     """
     alg = m.domain
     n = alg.n
@@ -325,6 +299,8 @@ def _recover_certified(m: AlgebraMap) -> tuple[JordanForm, float]:
     # (1) column i of S spans the range of the rank-one P_i = phi(E_ii): its largest column
     proj = c[:, alg.cell_rows == alg.cell_cols].T.reshape(n, n, n)
     col_norms = np.sqrt(np.sum(np.abs(proj) ** 2, axis=1))  # (i, k): ||column k of P_i||
+    if not np.all(np.isfinite(col_norms)):
+        raise NotJordanEmbedding("diagonal-unit images overflow or are not finite")
     s = proj[np.arange(n), :, np.argmax(col_norms, axis=1)].T / np.max(col_norms, axis=1)
     try:
         sinv = inverse(s)

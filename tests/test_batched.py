@@ -437,14 +437,14 @@ class TestNonFinite:
             recover_form(overflowing_map)
 
     def test_recovery_reads_nan_residual_as_failure(self, overflowing_map, tmp_path, capsys):
-        # the column norms of the diagonal images overflow to inf, so the
-        # assembled S is zero and recovery stops there, without a warning
-        with pytest.raises(NotJordanEmbedding, match="assembled similarity is not invertible: zero matrix"):
+        # the column norms of the diagonal images overflow to inf, so recovery
+        # stops at step (1) and names that cause, without a warning
+        with pytest.raises(NotJordanEmbedding, match="diagonal-unit images overflow or are not finite"):
             recover_form(overflowing_map)
         path = tmp_path / "big.json"
         path.write_text(canonical_json(map_to_document(overflowing_map)), encoding="utf-8")
         assert main(["recover", str(path)]) == 4
-        assert "assembled similarity is not invertible" in capsys.readouterr().err
+        assert "diagonal-unit images overflow or are not finite" in capsys.readouterr().err
 
     def test_verify_command(self, overflowing_map, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -1,17 +1,14 @@
-"""Canonical forms: in-algebra diagonalization, idempotent normalization, shears."""
+"""Canonical forms: in-algebra diagonalization and idempotent normalization."""
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blocktri import (
     ConstraintViolated,
     IllConditioned,
     NoConvergence,
-    NonzeroFirstComponent,
     NotIdempotent,
     NotRankOne,
     NotTriangular,
@@ -22,8 +19,6 @@ from blocktri import (
     inverse,
     membership,
     schur,
-    shear,
-    shear_conjugate_unit,
     triangular_idempotent_form,
 )
 from blocktri.linalg import eigenvalues, frobenius
@@ -183,7 +178,7 @@ class TestTriangularIdempotentForm:
 
     def test_two_by_two_shear_case(self):
         # r = E_00 + a E_01 is reconstructed from index 0; the similarity is
-        # the unit shear with -a in the corner (T E_00 T^{-1} = r)
+        # the unit upper-triangular matrix with -a in the corner (T E_00 T^{-1} = r)
         a = 2.0 + 1.5j
         r = np.array([[1.0, a], [0.0, 0.0]], dtype=complex)
         form = triangular_idempotent_form(r)
@@ -256,57 +251,3 @@ class TestTriangularIdempotentForm:
                 @ np.conj(u.T)
             )
             assert frobenius(recon - r) <= 1e-7 * max(1.0, frobenius(r))
-
-
-class TestShear:
-    def test_zero_vector(self):
-        assert np.array_equal(shear(np.zeros(4)), np.eye(4))
-
-    def test_inverse_law_bit_exact(self, rng):
-        y = gaussian(rng, 1, 5).ravel()
-        y[0] = 0.0
-        assert np.array_equal(shear(y) @ shear(-y), np.eye(5))
-
-    def test_nonzero_first_component(self):
-        with pytest.raises(NonzeroFirstComponent):
-            shear(np.array([1.0, 2.0]))
-        with pytest.raises(NonzeroFirstComponent):
-            shear_conjugate_unit(np.array([1.0, 2.0]), 1)
-
-    def test_conjugated_unit_first_index(self, rng):
-        y = gaussian(rng, 1, 4).ravel()
-        y[0] = 0.0
-        got = shear_conjugate_unit(y, 0)
-        expected = unit(4, 0, 0)
-        expected[0, :] += y
-        assert np.array_equal(got, expected)
-
-    def test_conjugated_unit_later_index(self):
-        y = np.array([0.0, 2.5 - 1j, 0.0], dtype=complex)
-        got = shear_conjugate_unit(y, 1)
-        assert np.array_equal(got, unit(3, 1, 1) - (2.5 - 1j) * unit(3, 0, 1))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(min_value=2, max_value=8),
-        i=st.integers(min_value=0, max_value=7),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_matches_matmul(self, n, i, seed):
-        if i >= n:
-            i = i % n
-        y = gaussian(np.random.default_rng(seed), 1, n).ravel()
-        y[0] = 0.0
-        direct = shear(-y) @ unit(n, i, i) @ shear(y)
-        assert np.array_equal(shear_conjugate_unit(y, i), direct)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            shear_conjugate_unit(np.zeros(3), 3)
-
-    def test_shear_conjugation_of_first_unit(self, rng):
-        # shear(y)^{-1} E_00 shear(y) = E_00 + e_0 y^t
-        y = gaussian(rng, 1, 5).ravel()
-        y[0] = 0.0
-        lhs = inverse(shear(y)) @ unit(5, 0, 0) @ shear(y)
-        assert frobenius(lhs - shear_conjugate_unit(y, 0)) <= 1e-12

@@ -290,7 +290,7 @@ class TestGallerySuites:
             calls.clear()
             run_gallery_suite(name, budget=budget, seed=0)
             counts.append(len(calls))
-        assert counts[0] <= 30  # was 217-420 with one call per probe
+        assert counts[0] <= 25  # was 217-420 with one call per probe
         # two more chunks: at most one call per chunk for the char-poly probes
         # and two (one per side) for the commuting pairs
         assert counts[1] - counts[0] <= 2 * 3

@@ -1,6 +1,7 @@
 """Core linear algebra: decompositions against independent oracles."""
 
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -437,3 +438,11 @@ def test_numpy_linalg_called_only_from_linalg():
         and re.search(r"\b(np|numpy)\.linalg\b", path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from blocktri import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(blocktri.__all__)
+    for name in blocktri.__all__:
+        assert not isinstance(getattr(blocktri, name), types.ModuleType), name
