@@ -21,7 +21,6 @@ from .algebra import (
     membership,
     parse_composition,
     project,
-    random_commuting_pair,
     random_element,
 )
 from .canonical import (

@@ -221,7 +221,10 @@ def matrix_poly(x: np.ndarray, coeffs) -> np.ndarray:
 
     ``x`` is one n x n matrix with a coefficient vector, or a (k, n, n) stack
     with (k, deg) coefficients, one row per matrix; a stack takes one stacked
-    product per degree.
+    product per degree. Each step adds c_j onto the diagonal in place rather
+    than building c_j I. Off the diagonal c_j I holds zeros, which can change
+    the sign of an exact zero, so c_j * 0j is added to every entry as well and,
+    for finite coefficients, each step stays bit for bit acc @ x + c_j I.
     """
     x = as_stack(x)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -231,20 +234,25 @@ def matrix_poly(x: np.ndarray, coeffs) -> np.ndarray:
         raise MismatchedDimension(f"coefficients of shape {coeffs.shape} for matrices of shape {x.shape}")
     if coeffs.shape[-1] == 0:
         return np.zeros_like(x)
-    eye = np.eye(x.shape[-1], dtype=np.complex128)
-    coeffs = coeffs[..., None, None]
-    acc = coeffs[..., -1, :, :] * eye
-    for j in range(coeffs.shape[-3] - 2, -1, -1):
-        acc = acc @ x + coeffs[..., j, :, :] * eye
+    n = x.shape[-1]
+    acc = coeffs[..., -1, None, None] * np.eye(n, dtype=np.complex128)
+    zeros = coeffs[..., None, None] * 0j  # c_j I off the diagonal, which sets the signs of exact zeros
+    for j in range(coeffs.shape[-1] - 2, -1, -1):
+        acc = acc @ x
+        acc += zeros[..., j, :, :]
+        acc.reshape(acc.shape[:-2] + (n * n,))[..., :: n + 1] += coeffs[..., j, None]  # C-contiguous: a view
     return acc
 
 
 def random_commuting_pairs(algebra: BlockAlgebra, seed, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two (k, n, n) stacks: row i of each is the i-th of k successive
-    ``random_commuting_pair(algebra, rng)`` draws, bit for bit.
+    """Two (k, n, n) stacks of k pairs (p(X), q(X)), each for a random X in the
+    algebra and two random polynomials of degree below n.
 
-    One generator call draws, per pair, X's parts and then the two
-    polynomials' coefficients, in the order of the one-pair draw.
+    Polynomials of one matrix commute exactly, and the algebra is closed under
+    products, so every pair is of supported members with an exactly commuting
+    product in exact arithmetic. One generator call draws, per pair, X's parts
+    and then the two polynomials' coefficients, so k pairs drawn at once equal,
+    bit for bit, k pairs drawn one call at a time.
     """
     rng = np.random.default_rng(seed)
     d, n = algebra.dim, algebra.n
@@ -252,14 +260,3 @@ def random_commuting_pairs(algebra: BlockAlgebra, seed, k: int) -> tuple[np.ndar
     x = algebra.scatter(_gaussian(z[:, : 2 * d]))
     coeffs = _gaussian(z[:, 2 * d :].reshape(k, 2, 2 * n))  # degree <= n - 1, so n coefficients each
     return matrix_poly(x, coeffs[:, 0]), matrix_poly(x, coeffs[:, 1])
-
-
-def random_commuting_pair(algebra: BlockAlgebra, seed) -> tuple[np.ndarray, np.ndarray]:
-    """A pair (p(X), q(X)) for random X in the algebra and random polynomials.
-
-    Polynomials of one matrix commute exactly, and the algebra is closed under
-    products, so both outputs are supported members with an exactly commuting
-    product in exact arithmetic.
-    """
-    p, q = random_commuting_pairs(algebra, seed, 1)
-    return p[0], q[0]

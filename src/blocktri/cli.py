@@ -45,7 +45,7 @@ EXIT_NOT_IN_ALGEBRA = 6
 
 # Largest --budget, the number of random probes each check of verify and
 # gallery draws. It bounds a run: at the cap, verify on a d = 160 map takes
-# about 7 s and a gallery suite up to about 15 s (gallery compares
+# 7 to 8 s and a gallery suite up to about 15 s (gallery compares
 # budget^2 / 2 pairs of images; 2-core x86, CPython 3.11, one BLAS thread).
 MAX_BUDGET = 10_000
 

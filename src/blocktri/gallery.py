@@ -10,9 +10,10 @@ tested at the same inputs for every map. A spec carries only its optional witnes
 are checked first; seeded random probes decide each hypothesis they do not refute.
 
 Every map takes one matrix or a (..., n, n) stack, bit for bit the same per matrix. The
-suite evaluates its six continuity and additivity inputs in one call, hands its map to the
-checkers as a stack evaluator and evaluates all its injectivity draws in one call, so the
-map is called once per chunk of probes, not once per probe.
+suite evaluates its six continuity and additivity inputs in one call and each two-matrix
+witness in one call, hands its map to the checkers as a stack evaluator and evaluates all
+its injectivity draws in one call, so the map is called once per chunk of probes, not once
+per probe.
 """
 
 import cmath
@@ -163,10 +164,10 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
     props = {
         "continuous": {"holds": jump <= 1e-6, "worst": jump},
         "injective": _hypothesis(
-            spec.equal_images, lambda w: frobenius(fn(w[0]) - fn(w[1])), lambda v: v > 0, image_gap
+            spec.equal_images, lambda w: frobenius(np.subtract(*fn(np.stack(w)))), lambda v: v > 0, image_gap
         ),
         "commutativity_preserving": _hypothesis(
-            spec.commuting_pair, lambda w: commutator_gap(fn(w[0]), fn(w[1])), lambda v: v <= 1e-9,
+            spec.commuting_pair, lambda w: commutator_gap(*fn(np.stack(w))), lambda v: v <= 1e-9,
             lambda: check_commutativity_preserving(stacked, alg, pairs=budget, seed=seed, tol=1e-9).worst,
         ),
         "spectrum_preserving": _hypothesis(

@@ -170,21 +170,23 @@ def _norm1(a: np.ndarray):
 def char_poly(a: np.ndarray) -> np.ndarray:
     """Coefficients of det(A - xI), ascending degree, length n + 1.
 
-    Uses the Faddeev-LeVerrier trace recursion; the leading coefficient is
-    exactly (-1)^n. A (..., n, n) stack gives (..., n + 1) coefficients.
+    Uses the Faddeev-LeVerrier trace recursion M <- A (M + c I), adding each
+    shift c onto the diagonal in place instead of building c I; that changes
+    at most the sign of an exact zero. The leading coefficient is exactly
+    (-1)^n. A (..., n, n) stack gives (..., n + 1) coefficients.
     """
     a = as_stack(a)
     n = a.shape[-1]
-    eye = identity(n)
     coeffs = np.zeros(a.shape[:-2] + (n + 1,), dtype=np.complex128)
     sign = -1.0 if n % 2 else 1.0
     coeffs[..., n] = sign
-    m = a
-    c = -np.trace(m, axis1=-2, axis2=-1)
+    c = -np.trace(a, axis1=-2, axis2=-1)
     if n >= 1:
         coeffs[..., n - 1] = sign * c
+    m = a.copy()  # shifted in place; a itself is never written
     for k in range(2, n + 1):
-        m = a @ (m + c[..., None, None] * eye)
+        m.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += c[..., None]  # m is C-contiguous: a view
+        m = a @ m
         c = -np.trace(m, axis1=-2, axis2=-1) / k
         coeffs[..., n - k] = sign * c
     return coeffs

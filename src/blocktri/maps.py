@@ -14,9 +14,10 @@ certificate alone decides the map.
 Probes are evaluated as stacks: ``apply_batch`` maps a (k, n, n) stack with
 one product, ``probe_chunks`` streams a probe sequence in stacks of at most
 PROBE_CHUNK matrices, and ``unit_pair_residuals`` makes one pass over the
-products of all matrix-unit images. ``is_jordan`` draws its random probes
-PROBE_CHUNK at a time with one generator call (``random_elements``), in the
-stream order of one draw at a time. An AlgebraMap keeps a read-only copy of
+products of all matrix-unit images, multiplying again only the few pairs
+whose target E_p E_q + E_q E_p is nonzero. ``is_jordan`` draws its random
+probes PROBE_CHUNK at a time with one generator call (``random_elements``),
+in the stream order of one draw at a time. An AlgebraMap keeps a read-only copy of
 its coefficients and runs that pass once, on first use, as ``unit_pairs``;
 ``is_jordan`` and the commutativity checker both read it.
 """
@@ -196,8 +197,12 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
 
     ``images`` is the (d, n, n) stack of phi(E_p). For each unit p the image
     is multiplied by every phi(E_q), q >= p, in chunks of PROBE_CHUNK; the
-    same products give the symmetric-product (Jordan) residual against
-    phi(E_p E_q + E_q E_p) and the commutator. o denotes a b + b a.
+    same products give the commutator and the symmetric-product (Jordan)
+    residual against phi(E_p E_q + E_q E_p), o denoting a b + b a. Most
+    targets E_p o E_q are zero (all but 1,240 of 12,880 pairs at (4,4,4,4)),
+    and subtracting an exact zero changes no modulus, so the pass takes
+    max |phi(E_p) o phi(E_q)| and only the pairs with a nonzero target are
+    multiplied again, PROBE_CHUNK at a time, and compared with their target.
     """
     d, n = algebra.dim, algebra.n
     rows, cols = algebra.cell_rows, algebra.cell_cols
@@ -207,7 +212,6 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     # E_p E_q = E_il when j == k, E_q E_p = E_kj when l == i; -1 marks a zero
     left = np.where(cols[p] == rows[q], index[rows[p], cols[q]], -1)
     right = np.where(cols[q] == rows[p], index[rows[q], cols[p]], -1)
-    padded = np.concatenate([images, np.zeros((1, n, n), dtype=images.dtype)])
     norms = frobenius(images)
     jordan = np.empty(p.size)
     commutator = np.empty(p.size)
@@ -220,9 +224,16 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
             ab = images[u] @ images[lo:hi]
             ba = images[lo:hi] @ images[u]
             scale = np.maximum(1.0, norms[u] * norms[lo:hi])
-            expected = padded[left[sl]] + padded[right[sl]]
-            jordan[sl] = np.max(np.abs(ab + ba - expected), axis=(1, 2)) / scale
+            jordan[sl] = np.max(np.abs(ab + ba), axis=(1, 2)) / scale
             commutator[sl] = frobenius(ab - ba) / scale
+    padded = np.concatenate([images, np.zeros((1, n, n), dtype=images.dtype)])
+    nonzero = np.flatnonzero((left >= 0) | (right >= 0))
+    for lo in range(0, nonzero.size, PROBE_CHUNK):
+        k = nonzero[lo : lo + PROBE_CHUNK]
+        a, b = images[p[k]], images[q[k]]
+        scale = np.maximum(1.0, norms[p[k]] * norms[q[k]])
+        expected = padded[left[k]] + padded[right[k]]
+        jordan[k] = np.max(np.abs(a @ b + b @ a - expected), axis=(1, 2)) / scale
     return UnitPairs(p=p, q=q, commuting=left == right, jordan=jordan, commutator=commutator)
 
 

@@ -20,7 +20,7 @@ from blocktri import (
     random_element,
     spectral_norm,
 )
-from blocktri.linalg import as_matrix, frobenius, identity
+from blocktri.linalg import as_matrix, frobenius, identity, inverse
 
 DEFLATION_REL = 1e-12
 SWEEP_CAP_FACTOR = 100
@@ -250,6 +250,24 @@ def reference_commuting_pair(alg, rng) -> tuple[np.ndarray, np.ndarray]:
     x = reference_element(alg, rng)
     pc, qc = ((rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)) / np.sqrt(2.0) for _ in range(2))
     return reference_poly(x, pc), reference_poly(x, qc)
+
+
+def reference_degenerate_samples(alg, samples: int, rng) -> list[np.ndarray]:
+    """The multiplicity checker's probes built one at a time, as before they
+    were stacked: a diagonal with a forced collision, conjugated by
+    I + G / (2 ||G||_2) for a random member G, scaled to unit spectral norm."""
+    n = alg.n
+    out = []
+    for _ in range(samples):
+        base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if n >= 2:
+            i, j = rng.choice(n, size=2, replace=False)
+            base[j] = base[i]
+        g = reference_element(alg, rng)
+        t = identity(n) + g / (2.0 * max(spectral_norm(g), 1e-12))
+        a = t @ np.diag(base) @ inverse(t)
+        out.append(a / max(spectral_norm(a), 1e-12))
+    return out
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -35,10 +35,10 @@ from blocktri import (
     matrix_units,
     membership,
     mobius_contraction,
-    random_commuting_pair,
     random_element,
     recover_form,
 )
+from blocktri.algebra import random_commuting_pairs
 from blocktri.linalg import frobenius
 
 from conftest import (
@@ -243,7 +243,7 @@ def test_criterion_7_gallery():
         zero = np.zeros((n, n), dtype=np.complex128)
         assert np.max(np.abs(spec.evaluator(zero) - np.eye(n) / 3.0)) <= 1e-12
         for k in range(200):
-            p, q = random_commuting_pair(alg, np.random.default_rng(SEED + 7000 + k))
+            (p,), (q,) = random_commuting_pairs(alg, np.random.default_rng(SEED + 7000 + k), 1)
             fp, fq = spec.evaluator(p), spec.evaluator(q)
             comm = frobenius(fp @ fq - fq @ fp)
             assert comm <= 1e-9 * max(1.0, frobenius(fp) * frobenius(fq))

@@ -20,7 +20,6 @@ from blocktri import (
     membership,
     parse_composition,
     project,
-    random_commuting_pair,
     random_element,
 )
 from blocktri.algebra import random_commuting_pairs, random_elements
@@ -283,7 +282,7 @@ class TestRandomSampling:
         b = random_element(alg, 123)
         assert np.array_equal(a, b)
         assert same_bits(a, reference_element(alg, np.random.default_rng(123)))
-        p, q = random_commuting_pair(alg, 123)
+        (p,), (q,) = random_commuting_pairs(alg, 123, 1)
         p_ref, q_ref = reference_commuting_pair(alg, np.random.default_rng(123))
         assert same_bits(p, p_ref) and same_bits(q, q_ref)
         assert membership(alg, a, tol=0.0)
@@ -304,7 +303,7 @@ class TestRandomSampling:
     def test_commuting_pair(self):
         alg = block_algebra((1, 2, 1))
         for seed in range(8):
-            p, q = random_commuting_pair(alg, seed)
+            (p,), (q,) = random_commuting_pairs(alg, seed, 1)
             assert membership(alg, p, tol=0.0)
             assert membership(alg, q, tol=0.0)
             comm = frobenius(p @ q - q @ p)
@@ -354,6 +353,15 @@ class TestStackedMatrixPoly:
         assert got.shape == (k, n, n)
         for x, c, row in zip(xs, coeffs, got):
             assert same_bits(row, matrix_poly(x, c))
+            assert same_bits(row, reference_poly(x, c))
+
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 1), (1, 1, 1), (2, 3, 3)])
+    def test_signs_of_zeros_on_members(self, parts):
+        # off-support entries are exact zeros; their signs match the c_j I form too
+        alg = block_algebra(parts)
+        xs = random_elements(alg, 7, 40)
+        coeffs = gaussian(np.random.default_rng(8), 40, alg.n)
+        for x, c, row in zip(xs, coeffs, matrix_poly(xs, coeffs)):
             assert same_bits(row, reference_poly(x, c))
 
     def test_empty_and_degree_zero(self, rng):

@@ -41,17 +41,20 @@ from blocktri import (
 from blocktri import maps, preservers
 from blocktri.cli import main
 from blocktri.documents import canonical_json, map_to_document
-from blocktri.linalg import frobenius, identity, inverse, spectral_norm
+from blocktri.linalg import frobenius, identity
 from blocktri.maps import PROBE_CHUNK, probe_chunks, unit_pair_residuals
 from blocktri.preservers import _multiset_match
 
 from conftest import (
     bounded_similarity,
     gaussian,
+    all_compositions,
     match_multisets,
     qr_schur,
     reference_commuting_pair,
+    reference_degenerate_samples,
     reference_element,
+    same_bits,
 )
 
 
@@ -153,21 +156,39 @@ def reference_match(lam_a, lam_b):
 
 
 def reference_multiplicity(fn, alg, samples, seed):
-    rng = np.random.default_rng(seed)
-    n = alg.n
-    probes, res = [], []
-    for _ in range(samples):
-        base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if n >= 2:
-            i, j = rng.choice(n, size=2, replace=False)
-            base[j] = base[i]
-        g = reference_element(alg, rng)
-        t = identity(n) + g / (2.0 * max(spectral_norm(g), 1e-12))
-        a = t @ np.diag(base) @ inverse(t)
-        a = a / max(spectral_norm(a), 1e-12)
-        probes.append(a)
-        res.append(reference_match(eigenvalues(a), eigenvalues(fn(a))))
+    probes = reference_degenerate_samples(alg, samples, np.random.default_rng(seed))
+    res = [reference_match(eigenvalues(a), eigenvalues(fn(a))) for a in probes]
     return reference_verdict(res, probes, 1e-6)
+
+
+def reference_gather_unit_pairs(algebra, images):
+    """The unit-pair pass as it was before sparse targets: every pair's target
+    gathered from a zero-padded image stack and subtracted, zero or not."""
+    d, n = algebra.dim, algebra.n
+    rows, cols = algebra.cell_rows, algebra.cell_cols
+    p, q = np.triu_indices(d)
+    index = np.full((n, n), -1)
+    index[rows, cols] = np.arange(d)
+    left = np.where(cols[p] == rows[q], index[rows[p], cols[q]], -1)
+    right = np.where(cols[q] == rows[p], index[rows[q], cols[p]], -1)
+    padded = np.concatenate([images, np.zeros((1, n, n), dtype=images.dtype)])
+    norms = frobenius(images)
+    jordan = np.empty(p.size)
+    commutator = np.empty(p.size)
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in range(d):
+            for lo in range(u, d, PROBE_CHUNK):
+                hi = min(lo + PROBE_CHUNK, d)
+                sl = slice(start, start + hi - lo)
+                start += hi - lo
+                ab = images[u] @ images[lo:hi]
+                ba = images[lo:hi] @ images[u]
+                scale = np.maximum(1.0, norms[u] * norms[lo:hi])
+                expected = padded[left[sl]] + padded[right[sl]]
+                jordan[sl] = np.max(np.abs(ab + ba - expected), axis=(1, 2)) / scale
+                commutator[sl] = frobenius(ab - ba) / scale
+    return p, q, left == right, jordan, commutator
 
 
 def same_witnesses(got, want):
@@ -303,6 +324,21 @@ class TestUnitPairPass:
         assert np.array_equal(units.jordan <= 1e-8, jordan <= 1e-8)
         assert np.all(units.jordan <= 1e-8) == (noise == 0.0)
 
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 3, 3), (4, 4, 4, 4)])
+    @pytest.mark.parametrize("noise, inf_coefficient", [(0.0, False), (1e-3, False), (0.0, True)])
+    def test_bit_identical_to_full_gather(self, rng, parts, noise, inf_coefficient):
+        # skipping the zero targets' gather and subtraction moves no bit
+        m = form_map(parts, rng, noise=noise)
+        if inf_coefficient:
+            c = np.array(m.coefficients)
+            c[0, 0] = np.inf
+            m = AlgebraMap(m.domain, c)
+        got = unit_pair_residuals(m.domain, m.unit_images())
+        want = reference_gather_unit_pairs(m.domain, m.unit_images())
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+        assert inf_coefficient == (not np.all(np.isfinite(got.jordan)))
+
     def test_black_box_called_once_per_unit(self, rng):
         m = form_map((2, 3, 3), rng)
         calls = []
@@ -364,6 +400,48 @@ class TestUnitPairCache:
         c[:] = 0.0
         assert np.array_equal(m.coefficients, want)
         assert is_jordan(m).ok
+
+
+# --- probes whose answers are known or stacked ---------------------------------
+
+
+class TestFixedCharPolys:
+    @pytest.mark.parametrize(
+        "parts", [p for n in range(1, 6) for p in all_compositions(n)] + [(8, 8), (4, 4, 4, 4), (16,), (1,) * 16]
+    )
+    def test_match_char_poly(self, parts):
+        # the written-down char polys of 0, I and the units equal Faddeev-LeVerrier's
+        alg = block_algebra(parts)
+        probes = np.stack([np.zeros((alg.n, alg.n), dtype=np.complex128), identity(alg.n), *matrix_units(alg)])
+        assert np.array_equal(preservers._fixed_char_polys(alg), char_poly(probes))
+
+    def test_black_box_sees_the_same_stacks(self, rng):
+        # the fixed probes are still evaluated, in the same stacks as before
+        m = form_map((2, 3, 3), rng)
+        stacks = []
+
+        def fn(xs):
+            stacks.append(xs.copy())
+            return apply_batch(m, xs)
+
+        res = check_char_poly_preserving(preservers._StackEvaluator(fn), m.domain, samples=40, seed=3)
+        assert res.ok
+        want = reference_probes(m.domain, 40, np.random.default_rng(3))
+        assert [len(s) for s in stacks] == [PROBE_CHUNK, PROBE_CHUNK, len(want) - 2 * PROBE_CHUNK]
+        assert same_bits(np.concatenate(stacks), np.stack(want))
+
+
+class TestDegenerateSamples:
+    @pytest.mark.parametrize("parts", [(1,), (1, 1), (1, 2), (2, 3, 3), (4, 4, 4, 4)], ids=lambda p: f"n{sum(p)}")
+    @pytest.mark.parametrize("samples", [0, 1, 31, 32, 33, 50])
+    def test_stacks_match_one_at_a_time(self, parts, samples):
+        alg = block_algebra(parts)
+        ref_rng, rng = np.random.default_rng(samples), np.random.default_rng(samples)
+        want = reference_degenerate_samples(alg, samples, ref_rng)
+        got = list(preservers._degenerate_samples(alg, samples, rng))
+        assert len(got) == samples
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        assert ref_rng.standard_normal() == rng.standard_normal()  # the generator is left where it was
 
 
 # --- checkers against the per-probe loops -------------------------------------
