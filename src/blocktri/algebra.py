@@ -77,7 +77,7 @@ def block_algebra(spec) -> BlockAlgebra:
     support = block_of[:, None] <= block_of[None, :]
     support.flags.writeable = False
     rows, cols = np.nonzero(support)
-    cells = tuple((int(i), int(j)) for i, j in zip(rows, cols))
+    cells = tuple(zip(rows.tolist(), cols.tolist()))
     return BlockAlgebra(
         parts=parts,
         n=n,

@@ -9,7 +9,10 @@ forms, and rejects everything else. It draws no random numbers: T is read off
 the 2n - 1 diagonal and first-row unit images, and the map is accepted exactly
 when T is certified on every matrix unit (``form_residual``, a gap relative to
 each image's norm). Jordan embeddings are exactly these two forms, so that
-certificate alone decides the map.
+certificate alone decides the map, and one unit that misses it rejects the
+map: recovery certifies the first PROBE_CHUNK units in cell order and the rest
+only once those pass. Coefficients are stored C-ordered, so a residual has
+the same bits whatever layout the map was built from.
 
 Probes are evaluated as stacks: ``apply_batch`` maps a (k, n, n) stack with
 one product, ``probe_chunks`` streams a probe sequence in stacks of at most
@@ -68,13 +71,14 @@ class JordanForm:
 class AlgebraMap:
     """A linear map from a block algebra into M_n, in cell-basis coordinates:
     ``coefficients`` has shape (n^2, dim), or MismatchedDimension is raised. It is
-    a read-only copy, so the cached ``unit_pairs`` stay valid."""
+    a read-only C-ordered copy, so the cached ``unit_pairs`` stay valid and a
+    residual summed over the columns does not depend on the caller's layout."""
 
     domain: BlockAlgebra
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coefficients = np.array(self.coefficients)
+        coefficients = np.array(self.coefficients, order="C")
         expected = (self.domain.n**2, self.domain.dim)
         if coefficients.shape != expected:
             raise MismatchedDimension(f"coefficients have shape {coefficients.shape}, expected {expected}")
@@ -108,15 +112,28 @@ def algebra_map_from_function(algebra, fn: Callable[[np.ndarray], np.ndarray]) -
 def build_form_map(algebra, form: JordanForm) -> AlgebraMap:
     """The linear map X -> T X T^{-1} (or T X^t T^{-1}) restricted to the algebra."""
     algebra = block_algebra(algebra)
+    t = _similarity(algebra, form)
+    return AlgebraMap(domain=algebra, coefficients=_form_columns(algebra, form.orientation, t, inverse(t), slice(None)))
+
+
+def _similarity(algebra: BlockAlgebra, form: JordanForm) -> np.ndarray:
     t = as_matrix(form.t, square=True)
     if t.shape != (algebra.n, algebra.n):
         raise MismatchedDimension("similarity size does not match the algebra")
-    rows, cols = algebra.cell_rows, algebra.cell_cols
-    if form.orientation is Orientation.ANTI_TRANSPOSE:
+    return t
+
+
+def _form_columns(algebra: BlockAlgebra, orientation: Orientation, t, tinv, cells: slice) -> np.ndarray:
+    """The form's coefficient columns for the units of ``cells``: an (n^2, k)
+    view of the (k, n, n) stack of their images. The image of E_ij is the outer
+    product of column i of T and row j of T^{-1} (of column j and row i for the
+    anti-transpose form). Built as a stack, each product rounds as it always
+    has; written straight into (n^2, k) order, numpy rounds it differently at n = 1."""
+    rows, cols = algebra.cell_rows[cells], algebra.cell_cols[cells]
+    if orientation is Orientation.ANTI_TRANSPOSE:
         rows, cols = cols, rows
-    # the image of E_ij is the outer product of column i of T and row j of T^{-1}
-    coeffs = t[:, None, rows] * inverse(t)[cols, :].T[None, :, :]
-    return AlgebraMap(domain=algebra, coefficients=coeffs.reshape(algebra.n**2, algebra.dim))
+    n = algebra.n
+    return (t.T[rows][:, :, None] * tinv[cols][:, None, :]).reshape(rows.size, n * n).T
 
 
 def apply_batch(m: AlgebraMap, xs: np.ndarray) -> np.ndarray:
@@ -258,12 +275,16 @@ def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> Jo
     return JordanCheck(ok=tally.ok, worst_residual=tally.worst)
 
 
-def _unit_gaps(m: AlgebraMap, form: JordanForm) -> np.ndarray:
-    """||phi(E_p) - form(E_p)||_F / max(1, ||phi(E_p)||_F) for each matrix
-    unit E_p, in cell order, from the coefficient columns (no unit-image copies)."""
+def _unit_gaps(m: AlgebraMap, orientation: Orientation, t, tinv, cells: slice = slice(None)) -> np.ndarray:
+    """||phi(E_p) - form(E_p)||_F / max(1, ||phi(E_p)||_F) for the matrix units
+    E_p of ``cells``, in cell order, from the coefficient columns (no unit-image
+    copies). A gap reads only its own column, summed entry by entry, so pieces
+    give the bits of one full pass unless a piece is a single column of a wider
+    pass: numpy sums a lone column pairwise."""
     n = m.domain.n
-    c = m.coefficients
-    gaps = frobenius((c - build_form_map(m.domain, form).coefficients).T.reshape(-1, n, n))
+    c = m.coefficients[:, cells]
+    diff = np.subtract(c, _form_columns(m.domain, orientation, t, tinv, cells), order="C")
+    gaps = frobenius(diff.T.reshape(-1, n, n))
     return gaps / np.maximum(1.0, frobenius(c.T.reshape(-1, n, n)))
 
 
@@ -273,7 +294,8 @@ def form_residual(m: AlgebraMap, form: JordanForm) -> float:
     over all matrix units E_p of the map's domain; inf unless every gap is
     finite. A linear map is fixed by its unit images, so this certifies the
     form on the whole algebra."""
-    gaps = _unit_gaps(m, form)
+    t = _similarity(m.domain, form)
+    gaps = _unit_gaps(m, form.orientation, t, inverse(t))
     return float(np.max(gaps)) if np.all(np.isfinite(gaps)) else np.inf
 
 
@@ -286,10 +308,12 @@ def recover_form(m: AlgebraMap) -> JordanForm:
     and a diagonal rescaling that fixes T. The form is accepted exactly when
     its relative gap to the map is at most VERIFY_REL on every matrix unit
     (``form_residual``): by the characterization of Jordan embeddings, that
-    certificate alone decides the map. No step draws random numbers. Any
-    failure raises NotJordanEmbedding, naming the first unit, in cell order,
-    that misses the form, or saying that the diagonal-unit images overflow or
-    that S or T is not invertible.
+    certificate alone decides the map, and so does any one unit that misses
+    it. The first PROBE_CHUNK units, in cell order, are certified on their
+    own; the rest only when all of those pass. No step draws random numbers.
+    Any failure raises NotJordanEmbedding, naming the first unit, in cell
+    order, that misses the form, or saying that the diagonal-unit images
+    overflow or that S or T is not invertible.
     """
     return _recover_certified(m)[0]
 
@@ -333,16 +357,29 @@ def _recover_certified(m: AlgebraMap) -> tuple[JordanForm, float]:
     # (4) canonical scaling: largest-modulus entry becomes exactly 1
     t = t / t.reshape(-1)[int(np.argmax(np.abs(t)))]
 
-    # (5) certify against the map itself on every matrix unit
-    form = JordanForm(orientation=orientation, t=t)
+    # (5) certify against the map itself on every matrix unit, the first PROBE_CHUNK
+    # alone: one miss decides the map. A single unit left over joins them, since a
+    # lone column would be summed in another order (``_unit_gaps``).
     try:
-        gaps = _unit_gaps(m, form)
+        tinv = inverse(t)
     except (NotFinite, Singular, IllConditioned) as exc:
         raise NotJordanEmbedding(f"recovered similarity is not invertible: {exc}") from exc
+    dim = alg.dim
+    head = PROBE_CHUNK if dim > PROBE_CHUNK + 1 else dim
+    worst = _certify(m, orientation, t, tinv, slice(0, head))
+    if head < dim:
+        worst = max(worst, _certify(m, orientation, t, tinv, slice(head, dim)))
+    return JordanForm(orientation=orientation, t=t), worst
+
+
+def _certify(m: AlgebraMap, orientation: Orientation, t, tinv, cells: slice) -> float:
+    """The largest unit gap over ``cells``, or NotJordanEmbedding naming the
+    first of them, in cell order, whose gap exceeds VERIFY_REL."""
+    gaps = _unit_gaps(m, orientation, t, tinv, cells)
     bad = ~(gaps <= VERIFY_REL)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NotJordanEmbedding(
-            f"image of unit {alg.cells[k]} misses the recovered form: relative gap {gaps[k]:.3e} > {VERIFY_REL:g}"
+            f"image of unit {m.domain.cells[cells.start + k]} misses the recovered form: relative gap {gaps[k]:.3e} > {VERIFY_REL:g}"
         )
-    return form, float(np.max(gaps))
+    return float(np.max(gaps))

@@ -307,6 +307,34 @@ def jordan_map(parts, rng, cond: float = 1.0, orientation=Orientation.INNER, noi
     return AlgebraMap(alg, c)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def reference_unit_gaps(m: AlgebraMap, form: JordanForm) -> np.ndarray:
+    """Every unit's relative gap ||phi(E_p) - form(E_p)||_F / max(1, ||phi(E_p)||_F),
+    in cell order, in one pass over all units: the certificate ``recover_form``
+    computed before it certified the units in cell order, with the form's
+    coefficients built as ``build_form_map`` built them then."""
+    alg, n = m.domain, m.domain.n
+    rows, cols = alg.cell_rows, alg.cell_cols
+    if form.orientation is Orientation.ANTI_TRANSPOSE:
+        rows, cols = cols, rows
+    t = as_matrix(form.t)
+    expected = np.array((t[:, None, rows] * inverse(t)[cols, :].T[None, :, :]).reshape(n * n, alg.dim), order="C")
+    c = m.coefficients
+    gaps = frobenius((c - expected).T.reshape(-1, n, n))
+    return gaps / np.maximum(1.0, frobenius(c.T.reshape(-1, n, n)))
+
+
+def reference_verdict(m: AlgebraMap, form: JordanForm) -> tuple[float | None, str | None]:
+    """(residual, None) when the full-pass certificate accepts ``form``, else
+    (None, the NotJordanEmbedding text naming the first unit that misses)."""
+    gaps = reference_unit_gaps(m, form)
+    bad = ~(gaps <= 1e-7)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        return None, f"image of unit {m.domain.cells[k]} misses the recovered form: relative gap {gaps[k]:.3e} > 1e-07"
+    return float(np.max(gaps)), None
+
+
 def agreement_corpus(compositions, conds, noises, seeds=(0,)):
     """Yield (label, map) for every composition x seed x cond x orientation x
     noise, the k-th map drawn from ``default_rng([seed, k])``: the corpus on

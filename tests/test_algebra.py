@@ -95,6 +95,13 @@ class TestConstruction:
         alg = block_algebra((1, 1))
         assert alg.cells == ((0, 0), (0, 1), (1, 1))
 
+    @pytest.mark.parametrize("parts", [(1,), (1, 2), (2, 3, 3), (4, 4, 4, 4), (16,), (1,) * 16])
+    def test_cells_are_plain_ints(self, parts):
+        alg = block_algebra(parts)
+        rows, cols = np.nonzero(alg.support)
+        assert alg.cells == tuple((int(i), int(j)) for i, j in zip(rows, cols))
+        assert all(type(i) is int and type(j) is int for i, j in alg.cells)
+
     def test_mask_partition(self):
         # dim(A) plus the strictly-lower complement of the flipped algebra
         # partitions the n^2 grid

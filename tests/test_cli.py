@@ -327,10 +327,11 @@ class TestRecoverCommand:
         path = tmp_path / "map.json"
         path.write_text(canonical_json(map_to_document(m)), encoding="utf-8")
         expected = form_residual(m, recover_form(m))
-        built = []
-        monkeypatch.setattr(maps, "build_form_map", lambda *args: built.append(args) or build_form_map(*args))
+        columns = []
+        form_columns = maps._form_columns
+        monkeypatch.setattr(maps, "_form_columns", lambda *args: columns.append(form_columns(*args).shape[1]) or form_columns(*args))
         assert main(["recover", str(path)]) == 0
-        assert len(built) == 1  # the certification's own form map
+        assert columns == [alg.dim]  # the certification's own form columns, built once
         assert json.loads(capsys.readouterr().out)["residual"] == expected
 
     def test_deterministic_bytes(self, identity_map_file, capsys):

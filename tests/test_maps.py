@@ -1,5 +1,6 @@
 """Map representation, Jordan checking, and similarity recovery."""
 
+import json
 import warnings
 
 import numpy as np
@@ -25,12 +26,13 @@ from blocktri import (
     recover_form,
     spectral_norm,
 )
+from blocktri import maps
 from blocktri.cli import main
 from blocktri.documents import canonical_json, map_to_document
 from blocktri.linalg import frobenius
-from blocktri.maps import VERIFY_REL
+from blocktri.maps import PROBE_CHUNK, VERIFY_REL
 
-from conftest import agreement_corpus, bounded_similarity, gaussian
+from conftest import agreement_corpus, bounded_similarity, gaussian, reference_verdict, same_bits
 
 GAP = r"image of unit {} misses the recovered form: relative gap \S+ > 1e-07"
 
@@ -308,6 +310,107 @@ class TestRecoverForm:
             x = random_element(alg, rng)
             gap = frobenius(apply(m, x) - rec.t @ x.T @ inverse(rec.t))
             assert gap <= 1e-7 * max(1.0, frobenius(x))
+
+
+def spoiled_map(parts, orientation, cells, size, rng) -> AlgebraMap:
+    """A form map whose unit images at ``cells`` carry Gaussian noise of
+    relative Frobenius norm ``size``."""
+    alg = block_algebra(parts)
+    c = np.array(build_form_map(alg, JordanForm(orientation, bounded_similarity(parts, rng))).coefficients)
+    for k in cells:
+        g = gaussian(rng, alg.n**2, 1)[:, 0]
+        c[:, k] += size * np.linalg.norm(c[:, k]) / np.linalg.norm(g) * g
+    return AlgebraMap(alg, c)
+
+
+def spoiled_cells(d: int) -> list[tuple[int, ...]]:
+    """Cell 0, the last cell of the first chunk, the first cell after it and
+    the last cell, one at a time, then both cells at the chunk edge."""
+    single = sorted({k for k in (0, PROBE_CHUNK - 1, PROBE_CHUNK, d - 1) if k < d})
+    return [(k,) for k in single] + ([(PROBE_CHUNK - 1, PROBE_CHUNK)] if PROBE_CHUNK < d else [])
+
+
+# (3, 2, 2) has d = PROBE_CHUNK + 1: its one unit past the chunk joins the chunk
+STREAMED = [
+    (parts, orientation, cells, size)
+    for parts in [(1,), (1, 2), (2, 3, 3), (3, 2, 2), (4, 4, 4, 4), (16,), (1,) * 16]
+    for orientation in Orientation
+    for cells in spoiled_cells(block_algebra(parts).dim)
+    for size in (1e-3, 1e-9)  # a miss, and a gap under VERIFY_REL that becomes the residual
+]
+
+
+class TestStreamedCertification:
+    """Certifying the first PROBE_CHUNK units alone, then the rest, decides
+    and reports exactly as the full pass of ``reference_verdict``."""
+
+    @pytest.mark.parametrize(
+        "parts, orientation, cells, size",
+        STREAMED,
+        ids=[f"{len(p)}parts-{p[0]}-{o.value}-{c}-{s:g}" for p, o, c, s in STREAMED],
+    )
+    def test_matches_full_pass(self, monkeypatch, parts, orientation, cells, size):
+        m = spoiled_map(parts, orientation, cells, size, np.random.default_rng([sum(parts), len(parts), *cells]))
+        used = []
+        form_columns = maps._form_columns
+        monkeypatch.setattr(maps, "_form_columns", lambda *args: used.append(args[1:3]) or form_columns(*args))
+        outcomes = []
+        for copy in (m, AlgebraMap(m.domain, np.asfortranarray(m.coefficients))):
+            try:
+                form, residual = maps._recover_certified(copy)
+                outcomes.append((form.orientation, form.t.tobytes(), np.float64(residual).tobytes(), None))
+            except NotJordanEmbedding as exc:
+                outcomes.append((None, None, None, str(exc)))
+        assert outcomes[0] == outcomes[1]
+        orientation_used, t = used[0]
+        expected_residual, expected_message = reference_verdict(m, JordanForm(orientation_used, t))
+        assert outcomes[0][3] == expected_message
+        if expected_message is None:
+            assert outcomes[0][:3] == (orientation_used, t.tobytes(), np.float64(expected_residual).tobytes())
+            assert same_bits(np.float64(form_residual(m, JordanForm(orientation_used, t))), np.float64(expected_residual))
+        elif size == 1e-3 and all(0 < i != j for i, j in (m.domain.cells[k] for k in cells)):
+            # a unit the recovery does not read leaves T in place: the miss is the spoiled one
+            assert str(m.domain.cells[cells[0]]) in expected_message
+
+    def test_rejection_at_cell_zero_builds_one_chunk(self, rng, monkeypatch):
+        alg = block_algebra((16,))
+        c = np.array(build_form_map(alg, JordanForm(Orientation.INNER, bounded_similarity(alg.parts, rng))).coefficients)
+        c[:, 0] *= 1.001
+        columns = []
+        form_columns = maps._form_columns
+        monkeypatch.setattr(maps, "_form_columns", lambda *args: columns.append(form_columns(*args).shape[1]) or form_columns(*args))
+        with pytest.raises(NotJordanEmbedding, match=GAP.format(r"\(0, 0\)")):
+            recover_form(AlgebraMap(alg, c))
+        assert sum(columns) <= PROBE_CHUNK
+
+
+class TestCoefficientLayout:
+    @pytest.mark.parametrize("parts", [(1,), (2,), (1, 2), (4, 4, 4, 4)])
+    def test_form_map_bits(self, rng, parts):
+        # the products T E_ij T^-1 round as they did when built in one (n, n, d)
+        # broadcast; at n = 1 numpy's complex product takes a loop of its own
+        alg = block_algebra(parts)
+        for orientation in Orientation:
+            t = gaussian(rng, alg.n)
+            rows, cols = (alg.cell_cols, alg.cell_rows) if orientation is Orientation.ANTI_TRANSPOSE else (alg.cell_rows, alg.cell_cols)
+            expected = (t[:, None, rows] * inverse(t)[cols, :].T[None, :, :]).reshape(alg.n**2, alg.dim)
+            assert same_bits(build_form_map(alg, JordanForm(orientation, t)).coefficients, np.ascontiguousarray(expected))
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_residuals_independent_of_layout(self, rng, tmp_path, capsys, orientation):
+        alg = block_algebra((4, 4, 4, 4))
+        built = build_form_map(alg, JordanForm(orientation, bounded_similarity(alg.parts, rng)))
+        c = np.array(built.coefficients)
+        copies = [built, AlgebraMap(alg, np.ascontiguousarray(c)), AlgebraMap(alg, np.asfortranarray(c))]
+        assert all(m.coefficients.flags.c_contiguous for m in copies)
+        recovered = [maps._recover_certified(m) for m in copies]
+        residuals = {np.float64(r).tobytes() for _, r in recovered}
+        residuals |= {np.float64(form_residual(m, form)).tobytes() for m, (form, _) in zip(copies, recovered)}
+        path = tmp_path / "map.json"
+        path.write_text(canonical_json(map_to_document(copies[2])), encoding="utf-8")
+        assert main(["recover", str(path)]) == 0
+        residuals.add(np.float64(json.loads(capsys.readouterr().out)["residual"]).tobytes())
+        assert len(residuals) == 1
 
 
 def degenerate_map(parts, kind: str, rng) -> AlgebraMap:
