@@ -64,7 +64,7 @@ from .linalg import (
 )
 from .maps import (
     AlgebraMap,
-    JordanCheck,
+    CheckResult,
     JordanForm,
     Orientation,
     algebra_map_from_function,
@@ -76,7 +76,6 @@ from .maps import (
     recover_form,
 )
 from .preservers import (
-    CheckResult,
     PreserverReport,
     check_char_poly_preserving,
     check_commutativity_preserving,

@@ -4,7 +4,8 @@ Subcommands: embed-check, recover, verify, diagonalize, gallery. Reports go
 to stdout as canonical JSON (or short text), diagnostics to stderr. Exit
 codes are a stable contract: 0 success, 2 input error, 3 no embedding,
 4 not a Jordan embedding, 5 repeated eigenvalues, 6 not in algebra. Any
-library error without a code of its own, a bad document included, exits 2.
+library error without a code of its own, a bad document or composition
+included, exits 2.
 """
 
 from __future__ import annotations
@@ -56,13 +57,10 @@ def _fail(code: int, message: str) -> int:
 
 
 def _cmd_embed_check(args) -> int:
-    try:
-        a = block_algebra(parse_composition(args.a))
-        b = block_algebra(parse_composition(args.b))
-        verdict = embeds(a, b)
-        iso = jordan_iso_class(a, b)
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, f"embed-check: {exc}")
+    a = block_algebra(parse_composition(args.a))
+    b = block_algebra(parse_composition(args.b))
+    verdict = embeds(a, b)
+    iso = jordan_iso_class(a, b)
     if args.json:
         sys.stdout.write(
             canonical_json({"embedding": verdict.value, "jordan_isomorphism": iso.value})
@@ -110,11 +108,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diagonalize(args) -> int:
-    try:
-        algebra = block_algebra(parse_composition(args.algebra))
-        matrix = matrix_from_document(load_json(args.matrix_file))
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, f"diagonalize: {exc}")
+    algebra = block_algebra(parse_composition(args.algebra))
+    matrix = matrix_from_document(load_json(args.matrix_file))
     if matrix.shape != (algebra.n, algebra.n) or not membership(algebra, matrix, tol=1e-12):
         return _fail(EXIT_NOT_IN_ALGEBRA, "diagonalize: matrix is not in the algebra")
     try:
@@ -215,7 +210,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except BlockTriError as exc:  # any other library error is an input error
+    except (BlockTriError, ValueError) as exc:  # any other library or argument error is an input error
         return _fail(EXIT_INPUT, f"{args.command}: {exc}")
 
 

@@ -181,7 +181,7 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
     if props["linear"]["holds"]:
         m = algebra_map_from_function(alg, fn)
         check = is_jordan(m, samples=budget, seed=seed, tol=1e-9)
-        props["jordan"] = {"holds": check.ok, "worst": check.worst_residual}
+        props["jordan"] = {"holds": check.ok, "worst": check.worst}
         with suppress(NotJordanEmbedding):
             recover_form(m)
             props["recovery_rejects"]["holds"] = False

@@ -15,14 +15,15 @@ only once those pass. Coefficients are stored C-ordered, so a residual has
 the same bits whatever layout the map was built from.
 
 Probes are evaluated as stacks: ``apply_batch`` maps a (k, n, n) stack with
-one product, ``probe_chunks`` streams a probe sequence in stacks of at most
-PROBE_CHUNK matrices, and ``unit_pair_residuals`` makes one pass over the
-products of all matrix-unit images, multiplying again only the few pairs
-whose target E_p E_q + E_q E_p is nonzero. ``is_jordan`` draws its random
-probes PROBE_CHUNK at a time with one generator call (``random_elements``),
-in the stream order of one draw at a time. An AlgebraMap keeps a read-only copy of
+one product, and ``unit_pair_residuals`` makes one pass over the products of
+all matrix-unit images, subtracting a target only from the few pairs whose
+E_p E_q + E_q E_p is nonzero. ``is_jordan`` draws its random probes
+PROBE_CHUNK at a time with one generator call (``random_elements``), in the
+stream order of one draw at a time. An AlgebraMap keeps a read-only copy of
 its coefficients and runs that pass once, on first use, as ``unit_pairs``;
-``is_jordan`` and the commutativity checker both read it.
+``is_jordan`` and the commutativity checker both read it. Every sampled
+check, here and in ``preservers``, feeds its stream of residual stacks to
+``verdict``, which keeps the worst residual and the first four violations.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -161,40 +162,32 @@ def apply(m: AlgebraMap, x: np.ndarray) -> np.ndarray:
     return apply_batch(m, as_matrix(x)[None])[0]
 
 
-def probe_chunks(probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Stack a sequence of equal-shape probes in order, PROBE_CHUNK at a time.
-
-    Probes are drawn lazily, so a seeded generator feeding them is consumed
-    in exactly the order of a one-by-one loop.
-    """
-    it = iter(probes)
-    while chunk := list(itertools.islice(it, PROBE_CHUNK)):
-        yield np.stack(chunk)
+class CheckResult(NamedTuple):
+    ok: bool
+    worst: float
+    witnesses: list
 
 
-class Tally:
-    """Worst residual and the first four violations of a streamed check.
+@np.errstate(over="ignore", invalid="ignore")
+def verdict(batches: Iterable[tuple[np.ndarray, Callable[[int], object] | None]], tol: float) -> CheckResult:
+    """The worst residual and the first four violations of a stream of
+    (residuals, witness) batches; ``witness(i)``, if given, names the i-th.
 
     A residual violates unless it is <= tol, so NaN is a violation; a
-    non-finite residual makes the worst inf.
+    non-finite residual makes the worst inf. Batches are consumed lazily,
+    so residuals computed as they are drawn run under this error state.
     """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.ok = True
-        self.worst = 0.0
-        self.witnesses: list = []
-
-    def add(self, res: np.ndarray, witness: Callable[[int], object] | None = None) -> None:
+    ok, worst, witnesses = True, 0.0, []
+    for res, witness in batches:
         if res.size == 0:
-            return
-        self.worst = max(self.worst, float(np.max(res)) if np.all(np.isfinite(res)) else np.inf)
-        bad = np.flatnonzero(~(res <= self.tol))
+            continue
+        worst = max(worst, float(np.max(res)) if np.all(np.isfinite(res)) else np.inf)
+        bad = np.flatnonzero(~(res <= tol))
         if bad.size:
-            self.ok = False
-            room = 4 - len(self.witnesses)
-            if witness is not None and room > 0:
-                self.witnesses.extend(witness(int(i)) for i in bad[:room])
+            ok = False
+            if witness is not None:
+                witnesses.extend(witness(int(i)) for i in bad[: 4 - len(witnesses)])
+    return CheckResult(ok=ok, worst=worst, witnesses=witnesses)
 
 
 class UnitPairs(NamedTuple):
@@ -217,9 +210,8 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     same products give the commutator and the symmetric-product (Jordan)
     residual against phi(E_p E_q + E_q E_p), o denoting a b + b a. Most
     targets E_p o E_q are zero (all but 1,240 of 12,880 pairs at (4,4,4,4)),
-    and subtracting an exact zero changes no modulus, so the pass takes
-    max |phi(E_p) o phi(E_q)| and only the pairs with a nonzero target are
-    multiplied again, PROBE_CHUNK at a time, and compared with their target.
+    and subtracting an exact zero changes no modulus, so a chunk subtracts
+    a target only from its pairs whose target is nonzero.
     """
     d, n = algebra.dim, algebra.n
     rows, cols = algebra.cell_rows, algebra.cell_cols
@@ -229,6 +221,8 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     # E_p E_q = E_il when j == k, E_q E_p = E_kj when l == i; -1 marks a zero
     left = np.where(cols[p] == rows[q], index[rows[p], cols[q]], -1)
     right = np.where(cols[q] == rows[p], index[rows[q], cols[p]], -1)
+    targeted = (left >= 0) | (right >= 0)
+    padded = np.concatenate([images, np.zeros((1, n, n), dtype=images.dtype)])
     norms = frobenius(images)
     jordan = np.empty(p.size)
     commutator = np.empty(p.size)
@@ -240,39 +234,26 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
             start += hi - lo
             ab = images[u] @ images[lo:hi]
             ba = images[lo:hi] @ images[u]
+            sym = ab + ba
+            k = np.flatnonzero(targeted[sl])
+            sym[k] -= padded[left[sl][k]] + padded[right[sl][k]]
             scale = np.maximum(1.0, norms[u] * norms[lo:hi])
-            jordan[sl] = np.max(np.abs(ab + ba), axis=(1, 2)) / scale
+            jordan[sl] = np.max(np.abs(sym), axis=(1, 2)) / scale
             commutator[sl] = frobenius(ab - ba) / scale
-    padded = np.concatenate([images, np.zeros((1, n, n), dtype=images.dtype)])
-    nonzero = np.flatnonzero((left >= 0) | (right >= 0))
-    for lo in range(0, nonzero.size, PROBE_CHUNK):
-        k = nonzero[lo : lo + PROBE_CHUNK]
-        a, b = images[p[k]], images[q[k]]
-        scale = np.maximum(1.0, norms[p[k]] * norms[q[k]])
-        expected = padded[left[k]] + padded[right[k]]
-        jordan[k] = np.max(np.abs(a @ b + b @ a - expected), axis=(1, 2)) / scale
     return UnitPairs(p=p, q=q, commuting=left == right, jordan=jordan, commutator=commutator)
 
 
-class JordanCheck(NamedTuple):
-    ok: bool
-    worst_residual: float
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> JordanCheck:
+def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> CheckResult:
     """Check the symmetric-product identity exhaustively on matrix-unit pairs
-    and the square identity on random elements."""
-    alg = m.domain
-    tally = Tally(tol)
-    tally.add(m.unit_pairs.jordan)
+    and the square identity on random elements. No witnesses are kept."""
     rng = np.random.default_rng(seed)
-    for start in range(0, samples, PROBE_CHUNK):
-        xs = random_elements(alg, rng, min(PROBE_CHUNK, samples - start))
+
+    def squares(xs):
         fx = apply_batch(m, xs)
-        res = frobenius(apply_batch(m, xs @ xs) - fx @ fx) / np.maximum(1.0, frobenius(xs) ** 2)
-        tally.add(res)
-    return JordanCheck(ok=tally.ok, worst_residual=tally.worst)
+        return frobenius(apply_batch(m, xs @ xs) - fx @ fx) / np.maximum(1.0, frobenius(xs) ** 2)
+
+    stacks = (random_elements(m.domain, rng, min(PROBE_CHUNK, samples - lo)) for lo in range(0, samples, PROBE_CHUNK))
+    return verdict(itertools.chain([(m.unit_pairs.jordan, None)], ((squares(xs), None) for xs in stacks)), tol)
 
 
 def _unit_gaps(m: AlgebraMap, orientation: Orientation, t, tinv, cells: slice = slice(None)) -> np.ndarray:

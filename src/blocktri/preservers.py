@@ -6,17 +6,19 @@ verdict with the worst violation and offending witnesses. Spectrum equality
 is tested through characteristic-polynomial coefficients, which sidesteps
 matching noisy eigenvalue lists.
 
-Random probes are drawn from the seed in a fixed order, PROBE_CHUNK at a
-time with one generator call per chunk (``random_elements``,
-``random_commuting_pairs``; the stream is the same as one draw at a time),
-and evaluated in stacks of at most PROBE_CHUNK. The multiplicity samples are
-drawn one at a time but built a stack at a time. A black-box evaluator is
-called once per probe; one that maps whole stacks (the gallery's maps, handed
-over wrapped in ``_StackEvaluator``) is called once per stack. The
-matrix-unit pairs of an AlgebraMap come from its ``unit_pairs``. The char
-polys of the fixed probes 0, I and the matrix units are known exactly, so
-only their images' are computed. A residual that is not finite counts as a
-violation.
+Every check is one stream of probe stacks, PROBE_CHUNK probes each but the
+last, fed to ``maps.verdict``. A probe source yields whole stacks and draws
+each stack's random members from the seed only when that stack is due, with
+one generator call (``random_elements``, ``random_commuting_pairs``; the
+stream is the same as one draw at a time). The multiplicity samples are drawn
+one at a time but built a stack at a time. Stack boundaries sit at every
+multiple of PROBE_CHUNK of a stream, since a stacked product's rows can round
+differently with the stack size. A black-box evaluator is called once per
+probe; one that maps whole stacks (the gallery's maps, handed over wrapped
+in ``_StackEvaluator``) is called once per stack. The matrix-unit pairs of an
+AlgebraMap come from its ``unit_pairs``. The char polys of the fixed probes
+0, I and the matrix units are known exactly, so only their images' are
+computed. A residual that is not finite counts as a violation.
 """
 
 from __future__ import annotations
@@ -37,15 +39,9 @@ from .algebra import (
     random_elements,
 )
 from .linalg import char_poly, eigenvalues, frobenius, identity, inverse, spectral_norm
-from .maps import PROBE_CHUNK, AlgebraMap, Tally, apply_batch, probe_chunks, unit_pair_residuals
+from .maps import PROBE_CHUNK, AlgebraMap, CheckResult, apply_batch, unit_pair_residuals, verdict
 
 MULTIPLICITY_CLUSTER_TOL = 1e-6
-
-
-class CheckResult(NamedTuple):
-    ok: bool
-    worst: float
-    witnesses: list
 
 
 @dataclass
@@ -78,7 +74,7 @@ def _as_evaluator(m, algebra) -> tuple[BlockAlgebra, Callable[[np.ndarray], np.n
 
 
 def _fixed_char_polys(algebra: BlockAlgebra) -> np.ndarray:
-    """The char polys of ``_probe_elements``' fixed probes 0, I and the matrix
+    """The char polys of ``_probe_stacks``' fixed probes 0, I and the matrix
     units, exactly: (-x)^n for 0 and for E_ij with i != j, (1 - x)^n for I and
     (-x)^(n-1) (1 - x) for E_ii. ``char_poly`` returns the same up to the
     sign of zeros, which no gap sees."""
@@ -90,30 +86,34 @@ def _fixed_char_polys(algebra: BlockAlgebra) -> np.ndarray:
     return polys
 
 
-def _probe_elements(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.ndarray]:
-    yield np.zeros((algebra.n, algebra.n), dtype=np.complex128)
-    yield identity(algebra.n)
-    yield from matrix_units(algebra)
-    for start in range(0, samples, PROBE_CHUNK):
-        yield from random_elements(algebra, rng, min(PROBE_CHUNK, samples - start))
+def _probe_stacks(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.ndarray]:
+    """0, I, the matrix units, then ``samples`` random elements, in stacks of
+    PROBE_CHUNK; each stack's random members are drawn when it is due."""
+    n = algebra.n
+    fixed = np.stack([np.zeros((n, n), dtype=np.complex128), identity(n), *matrix_units(algebra)])
+    total = len(fixed) + samples
+    for lo in range(0, total, PROBE_CHUNK):
+        head = fixed[lo : lo + PROBE_CHUNK]
+        draws = min(PROBE_CHUNK, total - lo) - len(head)
+        yield np.concatenate([head, random_elements(algebra, rng, draws)]) if draws else head
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _check(probes, residuals, tol: float) -> CheckResult:
-    """Stream probes through a stacked residual function; the first four
+def _check(stacks: Iterator[np.ndarray], residuals, tol: float) -> CheckResult:
+    """Stream probe stacks through a stacked residual function; the first four
     violating probes are the witnesses."""
-    tally = Tally(tol)
-    for stack in probe_chunks(probes):
-        tally.add(residuals(stack), lambda i: stack[i].copy())
-    return CheckResult(ok=tally.ok, worst=tally.worst, witnesses=tally.witnesses)
+    return verdict(((residuals(a), lambda i: a[i].copy()) for a in stacks), tol)
 
 
 def char_poly_gap(a: np.ndarray, fa: np.ndarray, pa: np.ndarray | None = None) -> np.ndarray:
     """The char-poly residual of each input of a (k, n, n) stack against its
     image: the largest coefficient gap, the x^k one scaled by max(1, ||A||_F)^(n-k).
-    ``pa``, when given, is ``char_poly(a)``."""
+    ``pa``, when given, is ``char_poly`` of the first len(pa) inputs."""
     n = a.shape[-1]
-    diff = char_poly(fa) - (char_poly(a) if pa is None else pa)
+    if pa is None:
+        pa = char_poly(a)
+    elif len(pa) < len(a):
+        pa = np.concatenate([pa, char_poly(a[len(pa) :])])
+    diff = char_poly(fa) - pa
     scale = np.maximum(1.0, frobenius(a))[:, None] ** (n - np.arange(n + 1))
     return np.max(np.abs(diff) / scale, axis=-1)
 
@@ -136,15 +136,8 @@ def check_char_poly_preserving(
     alg, fn = _as_evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     fixed = _fixed_char_polys(alg)
-    offsets = itertools.count(0, PROBE_CHUNK)  # each stack's place in the probe stream
-
-    def residuals(a):
-        known = fixed[next(offsets) :][: len(a)]
-        fa = fn(a)
-        pa = known if len(known) == len(a) else np.concatenate([known, char_poly(a[len(known) :])])
-        return char_poly_gap(a, fa, pa)
-
-    return _check(_probe_elements(alg, samples, rng), residuals, tol)
+    known = iter(np.split(fixed, range(PROBE_CHUNK, len(fixed), PROBE_CHUNK)))  # the fixed part of each stack
+    return _check(_probe_stacks(alg, samples, rng), lambda a: char_poly_gap(a, fn(a), next(known, None)), tol)
 
 
 def check_spectrum_shrinking(
@@ -160,10 +153,10 @@ def check_spectrum_shrinking(
         gap = np.max(np.min(np.abs(lam_out[:, :, None] - lam_in[:, None, :]), axis=2), axis=1)
         return gap / np.maximum(1.0, frobenius(a))
 
-    return _check(_probe_elements(alg, samples, rng), residuals, tol)
+    return _check(_probe_stacks(alg, samples, rng), residuals, tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # a black box's unit images are evaluated before the stream
 def check_commutativity_preserving(
     m, algebra=None, *, pairs: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
@@ -179,13 +172,12 @@ def check_commutativity_preserving(
     unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, fn(np.stack(units)))
     commuting = unit_pairs.commuting
     p, q = unit_pairs.p[commuting], unit_pairs.q[commuting]
-    tally = Tally(tol)
-    tally.add(unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]]))
-
-    for start in range(0, pairs, PROBE_CHUNK):
-        ps, qs = random_commuting_pairs(alg, rng, min(PROBE_CHUNK, pairs - start))
-        tally.add(commutator_gap(fn(ps), fn(qs)), lambda i: (ps[i].copy(), qs[i].copy()))
-    return CheckResult(ok=tally.ok, worst=tally.worst, witnesses=tally.witnesses)
+    drawn = (random_commuting_pairs(alg, rng, min(PROBE_CHUNK, pairs - lo)) for lo in range(0, pairs, PROBE_CHUNK))
+    batches = itertools.chain(
+        [(unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]]))],
+        ((commutator_gap(fn(ps), fn(qs)), lambda i: (ps[i].copy(), qs[i].copy())) for ps, qs in drawn),
+    )
+    return verdict(batches, tol)
 
 
 def _multiset_match(lam_a: np.ndarray, lam_b: np.ndarray) -> np.ndarray:
@@ -231,7 +223,7 @@ def _degenerate_samples(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np
             g[k] = random_element(algebra, rng)
         t = identity(n) + g / (2.0 * np.maximum(spectral_norm(g), 1e-12))[:, None, None]
         a = t @ bases @ inverse(t)
-        yield from a / np.maximum(spectral_norm(a), 1e-12)[:, None, None]
+        yield a / np.maximum(spectral_norm(a), 1e-12)[:, None, None]
 
 
 def check_multiplicity_preserving(

@@ -39,10 +39,11 @@ from blocktri import (
     triangular_idempotent_form,
 )
 from blocktri import maps, preservers
+from blocktri.algebra import random_elements
 from blocktri.cli import main
 from blocktri.documents import canonical_json, map_to_document
 from blocktri.linalg import frobenius, identity
-from blocktri.maps import PROBE_CHUNK, probe_chunks, unit_pair_residuals
+from blocktri.maps import PROBE_CHUNK, unit_pair_residuals
 from blocktri.preservers import _multiset_match
 
 from conftest import (
@@ -288,25 +289,6 @@ class TestStackedKernels:
             eigenvalues(np.zeros(3))
 
 
-class TestProbeChunks:
-    def test_order_and_size(self, rng):
-        probes = [gaussian(rng, 2) for _ in range(2 * PROBE_CHUNK + 3)]
-        chunks = list(probe_chunks(iter(probes)))
-        assert [len(c) for c in chunks] == [PROBE_CHUNK, PROBE_CHUNK, 3]
-        assert np.array_equal(np.concatenate(chunks), np.stack(probes))
-
-    def test_draws_lazily(self):
-        drawn = []
-
-        def probes():
-            for k in range(PROBE_CHUNK + 1):
-                drawn.append(k)
-                yield np.eye(2)
-
-        first = next(probe_chunks(probes()))
-        assert len(first) == PROBE_CHUNK and len(drawn) == PROBE_CHUNK
-
-
 # --- the shared unit-pair pass ----------------------------------------------
 
 
@@ -438,10 +420,63 @@ class TestDegenerateSamples:
         alg = block_algebra(parts)
         ref_rng, rng = np.random.default_rng(samples), np.random.default_rng(samples)
         want = reference_degenerate_samples(alg, samples, ref_rng)
-        got = list(preservers._degenerate_samples(alg, samples, rng))
+        got = [a for stack in preservers._degenerate_samples(alg, samples, rng) for a in stack]
         assert len(got) == samples
         assert all(same_bits(g, w) for g, w in zip(got, want))
         assert ref_rng.standard_normal() == rng.standard_normal()  # the generator is left where it was
+
+
+class TestProbeStacks:
+    """Every probe stream is cut into stacks at each multiple of PROBE_CHUNK,
+    and a stack's random members are drawn only when it is due."""
+
+    class Drawn(Exception):
+        pass
+
+    @pytest.mark.parametrize(
+        "parts, sizes",
+        [((4, 4, 4, 4), [PROBE_CHUNK] * 8 + [6]), ((1, 2), [PROBE_CHUNK] * 3 + [13])],
+        ids=["n16", "n3"],
+    )
+    def test_stack_boundaries(self, parts, sizes):
+        # 2 + d + 100 probes for the char-poly and shrinking checks, 100 samples for multiplicity
+        alg = block_algebra(parts)
+        seen = []
+
+        def fn(xs):
+            seen.append(len(xs))
+            return xs
+
+        for check, want in [
+            (check_char_poly_preserving, sizes),
+            (check_spectrum_shrinking, sizes),
+            (check_multiplicity_preserving, [PROBE_CHUNK] * 3 + [4]),
+        ]:
+            seen.clear()
+            assert check(preservers._StackEvaluator(fn), alg, samples=100, seed=1).ok
+            assert seen == want, check.__name__
+
+    @pytest.mark.parametrize(
+        "check, draw_first_stack",
+        [
+            # (1, 2): 0, I and the 7 units, then 23 random elements fill the first stack
+            (check_char_poly_preserving, lambda alg, rng: random_elements(alg, rng, PROBE_CHUNK - 9)),
+            (check_spectrum_shrinking, lambda alg, rng: random_elements(alg, rng, PROBE_CHUNK - 9)),
+            (check_multiplicity_preserving, lambda alg, rng: reference_degenerate_samples(alg, PROBE_CHUNK, rng)),
+        ],
+        ids=["char_poly", "shrinking", "multiplicity"],
+    )
+    def test_draws_lazily(self, check, draw_first_stack):
+        alg = block_algebra((1, 2))
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        draw_first_stack(alg, ref)
+
+        def fn(xs):
+            assert rng.bit_generator.state == ref.bit_generator.state
+            raise self.Drawn
+
+        with pytest.raises(self.Drawn):
+            check(preservers._StackEvaluator(fn), alg, samples=10_000, seed=rng)
 
 
 # --- checkers against the per-probe loops -------------------------------------
@@ -500,7 +535,7 @@ class TestNonFinite:
     def test_is_jordan(self, overflowing_map):
         with np.errstate(all="ignore"):
             check = is_jordan(overflowing_map)
-        assert not check.ok and check.worst_residual == np.inf
+        assert not check.ok and check.worst == np.inf
 
     def test_checkers(self, overflowing_map):
         with np.errstate(all="ignore"):

@@ -128,7 +128,7 @@ class TestIsJordan:
             for orientation in Orientation:
                 m = build_form_map(alg, JordanForm(orientation, t))
                 check = is_jordan(m, samples=15, seed=3)
-                assert check.ok, (parts, orientation, check.worst_residual)
+                assert check.ok, (parts, orientation, check.worst)
 
     def test_block_projection_passes(self):
         alg = block_algebra((1, 2))
@@ -142,7 +142,7 @@ class TestIsJordan:
         m = algebra_map_from_function(alg, lambda x: x + x[0, 0] * unit(2, 0, 1))
         check = is_jordan(m, samples=10, seed=0)
         assert not check.ok
-        assert check.worst_residual > 1e-8
+        assert check.worst > 1e-8
 
     def test_random_linear_maps_fail(self, rng):
         alg = block_algebra((1, 2))
