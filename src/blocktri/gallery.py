@@ -26,9 +26,8 @@ import numpy as np
 from .algebra import BlockAlgebra, block_algebra, matrix_units, random_elements
 from .errors import NotFinite, NotJordanEmbedding
 from .linalg import char_poly, frobenius, identity, inverse, spectral_norm
-from .maps import algebra_map_from_function, is_jordan, recover_form
+from .maps import _StackEvaluator, algebra_map_from_function, is_jordan, recover_form
 from .preservers import (
-    _StackEvaluator,
     char_poly_gap,
     check_char_poly_preserving,
     check_commutativity_preserving,

@@ -14,8 +14,11 @@ map: recovery certifies the first PROBE_CHUNK units in cell order and the rest
 only once those pass. Coefficients are stored C-ordered, so a residual has
 the same bits whatever layout the map was built from.
 
-Probes are evaluated as stacks: ``apply_batch`` maps a (k, n, n) stack with
-one product, and ``unit_pair_residuals`` makes one pass over the products of
+Probes are evaluated as stacks, behind one boundary (``_evaluator``): an
+AlgebraMap maps a (k, n, n) stack with one unchecked product, as every probe
+is built in its domain, and a black box's images, which come from outside,
+are checked once per stack. ``apply_batch`` (and ``apply``) is the validated
+public entry. ``unit_pair_residuals`` makes one pass over the products of
 all matrix-unit images, subtracting a target only from the few pairs whose
 E_p E_q + E_q E_p is nonzero. ``is_jordan`` draws its random probes
 PROBE_CHUNK at a time with one generator call (``random_elements``), in the
@@ -45,7 +48,7 @@ from .errors import (
     Singular,
     WrongAlgebra,
 )
-from .linalg import as_matrix, frobenius, inverse
+from .linalg import as_matrix, as_stack, frobenius, inverse
 
 VERIFY_REL = 1e-7  # largest relative unit-image gap a recovered form may leave
 PROBE_CHUNK = 32  # matrices per stacked evaluation; bounds every probe loop's memory
@@ -101,13 +104,37 @@ class AlgebraMap:
         return np.ascontiguousarray(self.coefficients.T).reshape(-1, n, n)
 
 
+class _StackEvaluator(NamedTuple):
+    """A black-box map that takes a whole (k, n, n) stack, called once per stack."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+
+
+def _evaluator(m, algebra=None) -> tuple[BlockAlgebra, Callable[[np.ndarray], np.ndarray]]:
+    """The domain and an evaluator of (k, n, n) probe stacks: for an AlgebraMap one
+    unchecked product, since probes are built in its domain; for a black box its
+    images, checked once per stack to have the probes' shape (MismatchedDimension)."""
+    if isinstance(m, AlgebraMap):
+        return m.domain, lambda xs: (m.domain.coords(xs) @ m.coefficients.T).reshape(xs.shape)
+    if algebra is None:
+        raise ValueError("a black-box map needs an explicit algebra")
+    fn = m.fn if isinstance(m, _StackEvaluator) else lambda xs: np.stack([m(x) for x in xs])
+
+    def images(xs):
+        fxs = np.asarray(fn(xs), dtype=np.complex128)
+        if fxs.shape != xs.shape:
+            raise MismatchedDimension(f"images have shape {fxs.shape}, expected {xs.shape}")
+        return fxs
+
+    return block_algebra(algebra), images
+
+
 def algebra_map_from_function(algebra, fn: Callable[[np.ndarray], np.ndarray]) -> AlgebraMap:
-    """Materialize a linear map by evaluating it on every matrix unit."""
-    algebra = block_algebra(algebra)
-    coeffs = np.zeros((algebra.n**2, algebra.dim), dtype=np.complex128)
-    for idx, e in enumerate(matrix_units(algebra)):
-        coeffs[:, idx] = as_matrix(fn(e)).reshape(-1)
-    return AlgebraMap(domain=algebra, coefficients=coeffs)
+    """Materialize a linear map by evaluating it on every matrix unit, in cell
+    order; an image that is not n x n raises MismatchedDimension, one that is not finite NotFinite."""
+    algebra, images = _evaluator(fn, algebra)
+    units = as_stack(images(np.stack(matrix_units(algebra))))
+    return AlgebraMap(domain=algebra, coefficients=units.reshape(algebra.dim, -1).T)
 
 
 def build_form_map(algebra, form: JordanForm) -> AlgebraMap:
@@ -154,7 +181,7 @@ def apply_batch(m: AlgebraMap, xs: np.ndarray) -> np.ndarray:
     off = np.abs(xs[:, ~m.domain.support])
     if off.size and np.any(np.max(off, axis=1) > 1e-8 * np.maximum(1.0, frobenius(xs))):
         raise WrongAlgebra("matrix is not supported in the map's domain")
-    return (m.domain.coords(xs) @ m.coefficients.T).reshape(-1, n, n)
+    return _evaluator(m)[1](xs)
 
 
 def apply(m: AlgebraMap, x: np.ndarray) -> np.ndarray:
@@ -247,10 +274,11 @@ def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> Ch
     """Check the symmetric-product identity exhaustively on matrix-unit pairs
     and the square identity on random elements. No witnesses are kept."""
     rng = np.random.default_rng(seed)
+    _, images = _evaluator(m)
 
     def squares(xs):
-        fx = apply_batch(m, xs)
-        return frobenius(apply_batch(m, xs @ xs) - fx @ fx) / np.maximum(1.0, frobenius(xs) ** 2)
+        fx = images(xs)
+        return frobenius(images(xs @ xs) - fx @ fx) / np.maximum(1.0, frobenius(xs) ** 2)
 
     stacks = (random_elements(m.domain, rng, min(PROBE_CHUNK, samples - lo)) for lo in range(0, samples, PROBE_CHUNK))
     return verdict(itertools.chain([(m.unit_pairs.jordan, None)], ((squares(xs), None) for xs in stacks)), tol)

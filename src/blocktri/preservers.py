@@ -13,12 +13,13 @@ one generator call (``random_elements``, ``random_commuting_pairs``; the
 stream is the same as one draw at a time). The multiplicity samples are drawn
 one at a time but built a stack at a time. Stack boundaries sit at every
 multiple of PROBE_CHUNK of a stream, since a stacked product's rows can round
-differently with the stack size. A black-box evaluator is called once per
-probe; one that maps whole stacks (the gallery's maps, handed over wrapped
-in ``_StackEvaluator``) is called once per stack. The matrix-unit pairs of an
-AlgebraMap come from its ``unit_pairs``. The char polys of the fixed probes
-0, I and the matrix units are known exactly, so only their images' are
-computed. A residual that is not finite counts as a violation.
+differently with the stack size. Images come from ``maps._evaluator``: a
+black-box evaluator is called once per probe or, if it maps whole stacks (the
+gallery's maps, handed over wrapped in ``_StackEvaluator``), once per stack,
+and its images must be n x n. The matrix-unit pairs of an AlgebraMap come
+from its ``unit_pairs``. The char polys of the fixed probes 0, I and the
+matrix units are known exactly, so only their images' are computed. A probe
+whose image or residual is not finite is a violation, and the worst is inf.
 """
 
 from __future__ import annotations
@@ -26,20 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .algebra import (
-    BlockAlgebra,
-    block_algebra,
-    matrix_units,
-    random_commuting_pairs,
-    random_element,
-    random_elements,
-)
+from .algebra import BlockAlgebra, matrix_units, random_commuting_pairs, random_element, random_elements
 from .linalg import char_poly, eigenvalues, frobenius, identity, inverse, spectral_norm
-from .maps import PROBE_CHUNK, AlgebraMap, CheckResult, apply_batch, unit_pair_residuals, verdict
+from .maps import PROBE_CHUNK, AlgebraMap, CheckResult, _evaluator, _StackEvaluator, unit_pair_residuals, verdict
 
 MULTIPLICITY_CLUSTER_TOL = 1e-6
 
@@ -54,23 +48,6 @@ class PreserverReport:
     samples_used: int
     worst_violation: float
     witnesses: dict = field(default_factory=dict)
-
-
-class _StackEvaluator(NamedTuple):
-    """A black-box map that takes a whole (k, n, n) stack, called once per stack."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-
-def _as_evaluator(m, algebra) -> tuple[BlockAlgebra, Callable[[np.ndarray], np.ndarray]]:
-    """The domain and an evaluator of (k, n, n) stacks."""
-    if isinstance(m, AlgebraMap):
-        return m.domain, lambda xs: apply_batch(m, xs)
-    if algebra is None:
-        raise ValueError("a black-box map needs an explicit algebra")
-    if isinstance(m, _StackEvaluator):
-        return block_algebra(algebra), m.fn
-    return block_algebra(algebra), lambda xs: np.stack([m(x) for x in xs]).astype(np.complex128)
 
 
 def _fixed_char_polys(algebra: BlockAlgebra) -> np.ndarray:
@@ -98,9 +75,16 @@ def _probe_stacks(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.ndarr
         yield np.concatenate([head, random_elements(algebra, rng, draws)]) if draws else head
 
 
-def _check(stacks: Iterator[np.ndarray], residuals, tol: float) -> CheckResult:
-    """Stream probe stacks through a stacked residual function; the first four
-    violating probes are the witnesses."""
+def _check(stacks: Iterator[np.ndarray], images, residual, tol: float) -> CheckResult:
+    """Map each probe stack A and stream ``residual(A, F(A))``; the first four
+    violating probes are the witnesses. A probe whose image is not finite is
+    a violation with residual inf: the residual sees a zero image in its row."""
+
+    def residuals(a):
+        fa = images(a)
+        finite = np.isfinite(fa).all(axis=(1, 2))
+        return np.where(finite, residual(a, np.where(finite[:, None, None], fa, 0)), np.inf)
+
     return verdict(((residuals(a), lambda i: a[i].copy()) for a in stacks), tol)
 
 
@@ -133,30 +117,29 @@ def check_char_poly_preserving(
     only the random probes' are computed. Every probe is still evaluated, in
     the same stacks.
     """
-    alg, fn = _as_evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     fixed = _fixed_char_polys(alg)
     known = iter(np.split(fixed, range(PROBE_CHUNK, len(fixed), PROBE_CHUNK)))  # the fixed part of each stack
-    return _check(_probe_stacks(alg, samples, rng), lambda a: char_poly_gap(a, fn(a), next(known, None)), tol)
+    return _check(_probe_stacks(alg, samples, rng), images, lambda a, fa: char_poly_gap(a, fa, next(known, None)), tol)
 
 
 def check_spectrum_shrinking(
     m, algebra=None, *, samples: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
     """Every eigenvalue of the image must be near some eigenvalue of the input."""
-    alg, fn = _as_evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
 
-    def residuals(a):
+    def residual(a, fa):
         lam_in = eigenvalues(a)
-        lam_out = eigenvalues(fn(a))
+        lam_out = eigenvalues(fa)
         gap = np.max(np.min(np.abs(lam_out[:, :, None] - lam_in[:, None, :]), axis=2), axis=1)
         return gap / np.maximum(1.0, frobenius(a))
 
-    return _check(_probe_stacks(alg, samples, rng), residuals, tol)
+    return _check(_probe_stacks(alg, samples, rng), images, residual, tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a black box's unit images are evaluated before the stream
 def check_commutativity_preserving(
     m, algebra=None, *, pairs: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
@@ -166,18 +149,19 @@ def check_commutativity_preserving(
     ``unit_pairs``, or one pass over a black box's unit images, each
     evaluated once), then ``pairs`` random commuting pairs.
     """
-    alg, fn = _as_evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     units = matrix_units(alg)
-    unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, fn(np.stack(units)))
-    commuting = unit_pairs.commuting
-    p, q = unit_pairs.p[commuting], unit_pairs.q[commuting]
+
+    def unit_batch():
+        unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, images(np.stack(units)))
+        commuting = unit_pairs.commuting
+        p, q = unit_pairs.p[commuting], unit_pairs.q[commuting]
+        yield unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]])
+
     drawn = (random_commuting_pairs(alg, rng, min(PROBE_CHUNK, pairs - lo)) for lo in range(0, pairs, PROBE_CHUNK))
-    batches = itertools.chain(
-        [(unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]]))],
-        ((commutator_gap(fn(ps), fn(qs)), lambda i: (ps[i].copy(), qs[i].copy())) for ps, qs in drawn),
-    )
-    return verdict(batches, tol)
+    batches = ((commutator_gap(images(ps), images(qs)), lambda i: (ps[i].copy(), qs[i].copy())) for ps, qs in drawn)
+    return verdict(itertools.chain(unit_batch(), batches), tol)
 
 
 def _multiset_match(lam_a: np.ndarray, lam_b: np.ndarray) -> np.ndarray:
@@ -235,11 +219,12 @@ def check_multiplicity_preserving(
     spectral norm; multisets are compared with an absolute clustering
     tolerance of 1e-6.
     """
-    alg, fn = _as_evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     return _check(
         _degenerate_samples(alg, samples, rng),
-        lambda a: _multiset_match(eigenvalues(a), eigenvalues(fn(a))),
+        images,
+        lambda a, fa: _multiset_match(eigenvalues(a), eigenvalues(fa)),
         MULTIPLICITY_CLUSTER_TOL,
     )
 
@@ -247,7 +232,7 @@ def check_multiplicity_preserving(
 def full_report(m, algebra=None, *, budget: int = 100, seed=0, tol: float = 1e-8) -> PreserverReport:
     """Run the char-poly, shrinking and commutativity checkers against the same
     budget with derived sub-seeds; the worst violation covers all three."""
-    alg, _ = _as_evaluator(m, algebra)
+    alg, _ = _evaluator(m, algebra)
     seeds = np.random.SeedSequence(seed).spawn(3)
     cp = check_char_poly_preserving(m, alg, samples=budget, seed=seeds[0], tol=tol)
     sh = check_spectrum_shrinking(m, alg, samples=budget, seed=seeds[1], tol=tol)

@@ -21,6 +21,7 @@ from blocktri import (
     NotJordanEmbedding,
     Orientation,
     WrongAlgebra,
+    algebra_map_from_function,
     apply,
     apply_batch,
     block_algebra,
@@ -545,6 +546,25 @@ class TestNonFinite:
         assert report.worst_violation == np.inf
         assert not cm.ok and cm.worst == np.inf and len(cm.witnesses) == 4
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["per-matrix", "stack"])
+    def test_black_box_images(self, stacked):
+        # a black box whose images overflow gets a verdict, as an AlgebraMap does
+        alg = block_algebra((1, 2))
+
+        def fn(x):
+            return (x * 1e300) * 1e300
+
+        black_box = preservers._StackEvaluator(fn) if stacked else fn
+        checks = (check_char_poly_preserving, check_spectrum_shrinking, check_commutativity_preserving,
+                  check_multiplicity_preserving)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [check(black_box, alg) for check in checks]
+            report = full_report(black_box, alg, budget=10)
+        assert [(r.ok, r.worst) for r in results] == [(False, np.inf)] * 4
+        assert not (report.spectrum_preserving or report.spectrum_shrinking or report.commutativity_preserving)
+        assert report.worst_violation == np.inf
+
     def test_recovery_rejects(self, overflowing_map):
         with np.errstate(all="ignore"), pytest.raises(NotJordanEmbedding):
             recover_form(overflowing_map)
@@ -580,6 +600,52 @@ class TestNonFinite:
 
 
 # --- report and rank test -------------------------------------------------------
+
+
+# --- the evaluation boundary: own probes trusted, black-box images checked ------
+
+WRONG_SHAPES = {
+    (1, 1): lambda x: x[..., :1, :1],
+    (2, 2): lambda x: x[..., :2, :2],
+    (1, 9): lambda x: x.reshape(x.shape[:-2] + (1, 9)),
+    (4, 4): lambda x: np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, 1), (0, 1)]),
+}
+
+
+class TestEvaluationBoundary:
+    @pytest.mark.parametrize("shape", list(WRONG_SHAPES), ids=str)
+    @pytest.mark.parametrize("stacked", [False, True], ids=["per-matrix", "stack"])
+    def test_wrong_image_shape(self, shape, stacked):
+        alg, fn = block_algebra((1, 2)), WRONG_SHAPES[shape]
+        black_box = preservers._StackEvaluator(fn) if stacked else fn
+        checks = (check_char_poly_preserving, check_spectrum_shrinking, check_commutativity_preserving,
+                  check_multiplicity_preserving, full_report)
+        for check in checks:
+            with pytest.raises(MismatchedDimension):
+                check(black_box, alg)
+        with pytest.raises(MismatchedDimension):
+            algebra_map_from_function(alg, fn)
+
+    def test_algebra_map_from_function(self):
+        # one call per unit, in cell order; a non-finite unit image is an error
+        alg, seen = block_algebra((1, 2)), []
+        m = algebra_map_from_function(alg, lambda x: seen.append(x.copy()) or 2 * x)
+        assert same_bits(np.stack(seen), np.stack(matrix_units(alg)))
+        assert same_bits(m.unit_images(), 2 * np.stack(matrix_units(alg)))
+        with pytest.raises(NotFinite):
+            algebra_map_from_function(alg, lambda x: x + np.nan)
+
+    def test_checkers_do_not_revalidate_probes(self, monkeypatch, rng):
+        # the probes a checker builds are in the domain: no apply_batch pass over them
+        def refuse(m, xs):
+            raise AssertionError("apply_batch called on a checker's own probes")
+
+        monkeypatch.setattr("blocktri.maps.apply_batch", refuse)
+        m = form_map((2, 3, 3), rng)
+        assert is_jordan(m, samples=40).ok
+        report = full_report(m, budget=40)
+        assert report.spectrum_preserving and report.spectrum_shrinking and report.commutativity_preserving
+        assert check_multiplicity_preserving(m, samples=40).ok
 
 
 def test_worst_violation_covers_every_check(rng):

@@ -1,6 +1,7 @@
 """JSON document schemas and the command-line contract."""
 
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -418,10 +419,16 @@ class TestKernelAndDocumentErrors:
         big = AlgebraMap(alg, m.coefficients * (1.5e308 / np.max(np.abs(m.coefficients))))
         path = tmp_path / "big.json"
         path.write_text(canonical_json(map_to_document(big)), encoding="utf-8")
-        assert main(["verify", str(path), "--budget", "5"]) == 2
+        # probe images overflow to inf: a violation with worst inf, not an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(path), "--budget", "5"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "verify: matrix contains NaN or infinite entries\n"
+        assert captured.err == ""
+        data = json.loads(captured.out, parse_constant=pytest.fail)  # strict JSON
+        assert data["worst_violation"] == "Infinity"
+        flags = ("spectrum_preserving", "spectrum_shrinking", "commutativity_preserving")
+        assert [data[flag] for flag in flags] == [False, False, False]
 
     def test_gallery_kernel_error(self, monkeypatch, capsys):
         def overflow(*args, **kwargs):
