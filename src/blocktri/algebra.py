@@ -127,11 +127,12 @@ def flip_algebra(algebra: BlockAlgebra) -> BlockAlgebra:
     return block_algebra(algebra.parts[::-1])
 
 
-def matrix_units(algebra: BlockAlgebra) -> list[np.ndarray]:
-    """One standard matrix unit per support cell, in row-major cell order."""
+def matrix_units(algebra: BlockAlgebra) -> np.ndarray:
+    """A fresh (d, n, n) complex stack of one standard matrix unit per support
+    cell, in row-major cell order."""
     units = np.zeros((algebra.dim, algebra.n, algebra.n), dtype=np.complex128)
     units[np.arange(algebra.dim), algebra.cell_rows, algebra.cell_cols] = 1.0
-    return list(units)
+    return units
 
 
 class Embedding(enum.Enum):

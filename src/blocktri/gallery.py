@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import BlockAlgebra, block_algebra, matrix_units, random_elements
 from .errors import NotFinite, NotJordanEmbedding
 from .linalg import char_poly, frobenius, identity, inverse, spectral_norm
-from .maps import _StackEvaluator, algebra_map_from_function, is_jordan, recover_form
+from .maps import _nonnegative, _StackEvaluator, algebra_map_from_function, is_jordan, recover_form
 from .preservers import (
     char_poly_gap,
     check_char_poly_preserving,
@@ -141,7 +141,9 @@ def _hypothesis(witness, measure, holds: Callable[[float], bool], probes: Callab
 
 
 def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
-    """Run the hypothesis suite on one gallery map: per property, ``holds`` and its ``worst`` value."""
+    """Run the hypothesis suite on one gallery map: per property, ``holds`` and its ``worst`` value.
+    A negative ``budget`` raises ValueError."""
+    _nonnegative(budget=budget)
     spec = GALLERY[name]
     alg, fn = spec.algebra, spec.evaluator
     stacked = _StackEvaluator(fn)  # every gallery map takes (k, n, n) stacks

@@ -17,8 +17,10 @@ the same bits whatever layout the map was built from.
 Probes are evaluated as stacks, behind one boundary (``_evaluator``): an
 AlgebraMap maps a (k, n, n) stack with one unchecked product, as every probe
 is built in its domain, and a black box's images, which come from outside,
-are checked once per stack. ``apply_batch`` (and ``apply``) is the validated
-public entry. ``unit_pair_residuals`` makes one pass over the products of
+are checked once per stack. An AlgebraMap named with another ``algebra``
+raises WrongAlgebra. ``apply_batch`` (and ``apply``) is the validated
+public entry; a map's unit images are read as one (d, n, n) stack,
+``unit_images``. ``unit_pair_residuals`` makes one pass over the products of
 all matrix-unit images, subtracting a target only from the few pairs whose
 E_p E_q + E_q E_p is nonzero. ``is_jordan`` draws its random probes
 PROBE_CHUNK at a time with one generator call (``random_elements``), in the
@@ -27,6 +29,7 @@ its coefficients and runs that pass once, on first use, as ``unit_pairs``;
 ``is_jordan`` and the commutativity checker both read it. Every sampled
 check, here and in ``preservers``, feeds its stream of residual stacks to
 ``verdict``, which keeps the worst residual and the first four violations.
+A negative probe count raises ValueError (``_nonnegative``) before any draw.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ class AlgebraMap:
         """The unit-pair pass over this map's unit images (``unit_pair_residuals``)."""
         return unit_pair_residuals(self.domain, self.unit_images())
 
-    def unit_image(self, cell_index: int) -> np.ndarray:
-        n = self.domain.n
-        return self.coefficients[:, cell_index].reshape(n, n)
-
     def unit_images(self) -> np.ndarray:
         """The (d, n, n) stack of the images of all matrix units, in cell order."""
         n = self.domain.n
@@ -110,14 +109,26 @@ class _StackEvaluator(NamedTuple):
     fn: Callable[[np.ndarray], np.ndarray]
 
 
+def _nonnegative(**counts: int) -> None:
+    """Reject a negative probe count (``samples``, ``pairs``, ``budget``) with a
+    ValueError naming it, before anything is drawn; zero is valid."""
+    for name, count in counts.items():
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
+
+
 def _evaluator(m, algebra=None) -> tuple[BlockAlgebra, Callable[[np.ndarray], np.ndarray]]:
     """The domain and an evaluator of (k, n, n) probe stacks: for an AlgebraMap one
-    unchecked product, since probes are built in its domain; for a black box its
-    images, checked once per stack to have the probes' shape (MismatchedDimension)."""
+    unchecked product, since probes are built in its domain (an ``algebra`` other
+    than that domain raises WrongAlgebra); for a black box its images, checked
+    once per stack to have the probes' shape (MismatchedDimension)."""
     if isinstance(m, AlgebraMap):
+        if algebra is not None and block_algebra(algebra) != m.domain:
+            raise WrongAlgebra(f"the map's domain is {m.domain.parts}, not {block_algebra(algebra).parts}")
         return m.domain, lambda xs: (m.domain.coords(xs) @ m.coefficients.T).reshape(xs.shape)
     if algebra is None:
-        raise ValueError("a black-box map needs an explicit algebra")
+        raise ValueError("a black-box map needs an explicit algebra; is_jordan needs an AlgebraMap, "
+                         "which algebra_map_from_function builds")
     fn = m.fn if isinstance(m, _StackEvaluator) else lambda xs: np.stack([m(x) for x in xs])
 
     def images(xs):
@@ -133,7 +144,7 @@ def algebra_map_from_function(algebra, fn: Callable[[np.ndarray], np.ndarray]) -
     """Materialize a linear map by evaluating it on every matrix unit, in cell
     order; an image that is not n x n raises MismatchedDimension, one that is not finite NotFinite."""
     algebra, images = _evaluator(fn, algebra)
-    units = as_stack(images(np.stack(matrix_units(algebra))))
+    units = as_stack(images(matrix_units(algebra)))
     return AlgebraMap(domain=algebra, coefficients=units.reshape(algebra.dim, -1).T)
 
 
@@ -272,7 +283,9 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
 
 def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> CheckResult:
     """Check the symmetric-product identity exhaustively on matrix-unit pairs
-    and the square identity on random elements. No witnesses are kept."""
+    and the square identity on random elements. No witnesses are kept; a
+    negative ``samples`` raises ValueError."""
+    _nonnegative(samples=samples)
     rng = np.random.default_rng(seed)
     _, images = _evaluator(m)
 

@@ -17,9 +17,12 @@ differently with the stack size. Images come from ``maps._evaluator``: a
 black-box evaluator is called once per probe or, if it maps whole stacks (the
 gallery's maps, handed over wrapped in ``_StackEvaluator``), once per stack,
 and its images must be n x n. The matrix-unit pairs of an AlgebraMap come
-from its ``unit_pairs``. The char polys of the fixed probes 0, I and the
-matrix units are known exactly, so only their images' are computed. A probe
-whose image or residual is not finite is a violation, and the worst is inf.
+from its ``unit_pairs``, a black box's from one pass over its images of the
+(d, n, n) stack ``matrix_units``. The char polys of the fixed probes 0, I and
+the matrix units are known exactly, so only their images' are computed. A
+probe whose image or residual is not finite is a violation, and the worst
+is inf. A negative ``samples``, ``pairs`` or ``budget`` raises ValueError,
+and an AlgebraMap given with an algebra other than its domain WrongAlgebra.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, matrix_units, random_commuting_pairs, random_element, random_elements
 from .linalg import char_poly, eigenvalues, frobenius, identity, inverse, spectral_norm
-from .maps import PROBE_CHUNK, AlgebraMap, CheckResult, _evaluator, _StackEvaluator, unit_pair_residuals, verdict
+from .maps import PROBE_CHUNK, AlgebraMap, CheckResult, _evaluator, _nonnegative, _StackEvaluator, unit_pair_residuals, verdict
 
 MULTIPLICITY_CLUSTER_TOL = 1e-6
 
@@ -67,7 +70,7 @@ def _probe_stacks(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.ndarr
     """0, I, the matrix units, then ``samples`` random elements, in stacks of
     PROBE_CHUNK; each stack's random members are drawn when it is due."""
     n = algebra.n
-    fixed = np.stack([np.zeros((n, n), dtype=np.complex128), identity(n), *matrix_units(algebra)])
+    fixed = np.concatenate([np.zeros((1, n, n), dtype=np.complex128), identity(n)[None], matrix_units(algebra)])
     total = len(fixed) + samples
     for lo in range(0, total, PROBE_CHUNK):
         head = fixed[lo : lo + PROBE_CHUNK]
@@ -117,6 +120,7 @@ def check_char_poly_preserving(
     only the random probes' are computed. Every probe is still evaluated, in
     the same stacks.
     """
+    _nonnegative(samples=samples)
     alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     fixed = _fixed_char_polys(alg)
@@ -128,6 +132,7 @@ def check_spectrum_shrinking(
     m, algebra=None, *, samples: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
     """Every eigenvalue of the image must be near some eigenvalue of the input."""
+    _nonnegative(samples=samples)
     alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
 
@@ -149,12 +154,13 @@ def check_commutativity_preserving(
     ``unit_pairs``, or one pass over a black box's unit images, each
     evaluated once), then ``pairs`` random commuting pairs.
     """
+    _nonnegative(pairs=pairs)
     alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     units = matrix_units(alg)
 
     def unit_batch():
-        unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, images(np.stack(units)))
+        unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, images(units))
         commuting = unit_pairs.commuting
         p, q = unit_pairs.p[commuting], unit_pairs.q[commuting]
         yield unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]])
@@ -219,6 +225,7 @@ def check_multiplicity_preserving(
     spectral norm; multisets are compared with an absolute clustering
     tolerance of 1e-6.
     """
+    _nonnegative(samples=samples)
     alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
     return _check(
@@ -232,6 +239,7 @@ def check_multiplicity_preserving(
 def full_report(m, algebra=None, *, budget: int = 100, seed=0, tol: float = 1e-8) -> PreserverReport:
     """Run the char-poly, shrinking and commutativity checkers against the same
     budget with derived sub-seeds; the worst violation covers all three."""
+    _nonnegative(budget=budget)
     alg, _ = _evaluator(m, algebra)
     seeds = np.random.SeedSequence(seed).spawn(3)
     cp = check_char_poly_preserving(m, alg, samples=budget, seed=seeds[0], tol=tol)

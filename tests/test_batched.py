@@ -37,6 +37,7 @@ from blocktri import (
     matrix_units,
     random_element,
     recover_form,
+    run_gallery_suite,
     triangular_idempotent_form,
 )
 from blocktri import maps, preservers
@@ -77,7 +78,7 @@ def reference_unit_pairs(m):
     commutator residual of every commuting pair."""
     alg = m.domain
     n = alg.n
-    images = [m.unit_image(k) for k in range(alg.dim)]
+    images = m.unit_images()
     cell_index = {cell: k for k, cell in enumerate(alg.cells)}
     jordan, commutator = [], []
     for p, (i, j) in enumerate(alg.cells):
@@ -635,6 +636,21 @@ class TestEvaluationBoundary:
         with pytest.raises(NotFinite):
             algebra_map_from_function(alg, lambda x: x + np.nan)
 
+    @pytest.mark.parametrize("foreign", [(2, 1), (3,), (1, 1)], ids=str)
+    def test_foreign_algebra_for_an_algebra_map(self, rng, foreign):
+        # the map's domain is (1,2); any other algebra is refused, even one of the same n
+        m = AlgebraMap(block_algebra((1, 2)), gaussian(rng, 9, 7))
+        checks = (check_char_poly_preserving, check_spectrum_shrinking, check_commutativity_preserving,
+                  check_multiplicity_preserving, full_report)
+        for check in checks:
+            with pytest.raises(WrongAlgebra, match="domain is"):
+                check(m, foreign)
+            assert check(m, (1, 2)) is not None  # its own domain, given explicitly, is accepted
+
+    def test_is_jordan_on_a_black_box_names_algebra_map(self):
+        with pytest.raises(ValueError, match="is_jordan needs an AlgebraMap"):
+            is_jordan(lambda x: x)
+
     def test_checkers_do_not_revalidate_probes(self, monkeypatch, rng):
         # the probes a checker builds are in the domain: no apply_batch pass over them
         def refuse(m, xs):
@@ -646,6 +662,27 @@ class TestEvaluationBoundary:
         report = full_report(m, budget=40)
         assert report.spectrum_preserving and report.spectrum_shrinking and report.commutativity_preserving
         assert check_multiplicity_preserving(m, samples=40).ok
+
+
+NEGATIVE_COUNTS = {  # entry point: (call on a map, the count it takes, a negative value it used to pass or misreport)
+    "is_jordan": (lambda m, k: is_jordan(m, samples=k), "samples", -1),
+    "char_poly": (lambda m, k: check_char_poly_preserving(m, samples=k), "samples", -40),
+    "shrinking": (lambda m, k: check_spectrum_shrinking(m, samples=k), "samples", -1),
+    "commutativity": (lambda m, k: check_commutativity_preserving(m, pairs=k), "pairs", -1),
+    "multiplicity": (lambda m, k: check_multiplicity_preserving(m, samples=k), "samples", -1),
+    "full_report": (lambda m, k: full_report(m, budget=k), "budget", -1),
+    "gallery": (lambda m, k: run_gallery_suite("det_twist", budget=k), "budget", -1),
+}
+
+
+@pytest.mark.parametrize("entry", list(NEGATIVE_COUNTS))
+def test_negative_count_is_rejected(rng, entry):
+    # a random, non-Jordan map: a silently skipped probe set would read as a pass
+    call, name, count = NEGATIVE_COUNTS[entry]
+    m = AlgebraMap(block_algebra((1, 2)), gaussian(rng, 9, 7))
+    with pytest.raises(ValueError, match=f"{name} must be non-negative, got {count}"):
+        call(m, count)
+    call(m, 0)  # zero stays valid
 
 
 def test_worst_violation_covers_every_check(rng):

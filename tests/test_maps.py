@@ -52,19 +52,19 @@ class TestBuildFormMap:
     def test_identity_coefficients(self):
         m = identity_map((1, 1, 1))
         for idx, (i, j) in enumerate(m.domain.cells):
-            assert np.array_equal(m.unit_image(idx), unit(3, i, j))
+            assert np.array_equal(m.unit_images()[idx], unit(3, i, j))
 
     def test_diagonal_conjugation_scales_cells(self):
         alg = block_algebra((1, 1))
         m = build_form_map(alg, JordanForm(Orientation.INNER, np.diag([1.0, 2.0]).astype(complex)))
         idx = alg.cells.index((0, 1))
-        assert np.allclose(m.unit_image(idx), 0.5 * unit(2, 0, 1), rtol=0, atol=1e-15)
+        assert np.allclose(m.unit_images()[idx], 0.5 * unit(2, 0, 1), rtol=0, atol=1e-15)
 
     def test_plain_transpose(self):
         alg = block_algebra((3,))
         m = build_form_map(alg, JordanForm(Orientation.ANTI_TRANSPOSE, np.eye(3, dtype=complex)))
         idx = alg.cells.index((0, 1))
-        assert np.array_equal(m.unit_image(idx), unit(3, 1, 0))
+        assert np.array_equal(m.unit_images()[idx], unit(3, 1, 0))
 
     def test_singular_similarity_rejected(self):
         alg = block_algebra((1, 1))
