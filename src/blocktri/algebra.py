@@ -24,11 +24,24 @@ def parse_composition(text: str) -> Composition:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed composition {text!r}") from exc
-    if not parts or any(k < 1 for k in parts):
-        raise ValueError(f"composition parts must be positive: {text!r}")
+    _positive(parts, text)
     if sum(parts) > 16:  # checked before any n x n allocation
         raise ValueError(f"composition {text!r} exceeds n = 16")
     return parts
+
+
+def _positive(parts: Composition, spec) -> None:
+    """Reject an empty composition or a part below 1, naming ``spec``."""
+    if not parts or any(k < 1 for k in parts):
+        raise ValueError(f"composition parts must be positive: {spec!r}")
+
+
+def _part(k) -> int:
+    """A part given as an int or a numpy integer; a bool, a float or anything
+    else raises ValueError naming it, rather than being truncated by int()."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"composition part {k!r} is not an integer")
+    return int(k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +82,8 @@ def block_algebra(spec) -> BlockAlgebra:
     if isinstance(spec, str):
         parts = parse_composition(spec)
     else:
-        parts = tuple(int(k) for k in spec)
-        if not parts or any(k < 1 for k in parts):
-            raise ValueError(f"composition parts must be positive: {parts}")
+        parts = tuple(_part(k) for k in spec)
+        _positive(parts, parts)
     n = sum(parts)
     block_of = np.repeat(np.arange(len(parts)), parts)
     support = block_of[:, None] <= block_of[None, :]

@@ -11,6 +11,7 @@ included, exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -30,7 +31,6 @@ from .documents import (
     load_json,
     map_from_document,
     matrix_from_document,
-    matrix_to_document,
 )
 from .errors import BlockTriError, NotJordanEmbedding, RepeatedEigenvalues
 from .gallery import GALLERY, run_gallery_suite
@@ -77,33 +77,14 @@ def _cmd_recover(args) -> int:
         form, residual = _recover_certified(m)
     except NotJordanEmbedding as exc:
         return _fail(EXIT_NOT_JORDAN, f"recover: not a Jordan embedding: {exc}")
-    sys.stdout.write(
-        canonical_json(
-            {
-                "orientation": form.orientation.value,
-                "T": matrix_to_document(form.t)["entries"],
-                "residual": residual,
-            }
-        )
-    )
+    sys.stdout.write(canonical_json({"orientation": form.orientation.value, "T": form.t, "residual": residual}))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     m = map_from_document(load_json(args.map_file))
     report = full_report(m, budget=args.budget, seed=args.seed, tol=args.tol)
-    sys.stdout.write(
-        canonical_json(
-            {
-                "spectrum_preserving": report.spectrum_preserving,
-                "spectrum_shrinking": report.spectrum_shrinking,
-                "commutativity_preserving": report.commutativity_preserving,
-                "samples_used": report.samples_used,
-                "worst_violation": report.worst_violation,
-                "witnesses": report.witnesses,
-            }
-        )
-    )
+    sys.stdout.write(canonical_json(dataclasses.asdict(report)))
     return EXIT_OK
 
 
@@ -116,14 +97,7 @@ def _cmd_diagonalize(args) -> int:
         result = diagonalize_in_algebra(algebra, project(algebra, matrix), args.constraint)
     except RepeatedEigenvalues as exc:
         return _fail(EXIT_REPEATED_EIGENVALUES, f"diagonalize: {exc}")
-    sys.stdout.write(
-        canonical_json(
-            {
-                "T": matrix_to_document(result.similarity)["entries"],
-                "diagonal": list(result.diagonal),
-            }
-        )
-    )
+    sys.stdout.write(canonical_json({"T": result.similarity, "diagonal": result.diagonal}))
     return EXIT_OK
 
 

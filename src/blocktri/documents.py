@@ -21,10 +21,6 @@ from .errors import InvalidDocument
 from .maps import AlgebraMap
 
 
-def _pairs(m: np.ndarray) -> list:
-    return np.stack([m.real, m.imag], -1).tolist()
-
-
 def _from_pair(obj) -> complex:
     if (
         not isinstance(obj, (list, tuple))
@@ -73,7 +69,7 @@ def _grid_from_document(rows: list, cols: int, row_error: str) -> np.ndarray:
 
 def matrix_to_document(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
-    return {"n": m.shape[0], "entries": _pairs(m)}
+    return {"n": m.shape[0], "entries": _plain(m)}
 
 
 def matrix_from_document(doc) -> np.ndarray:
@@ -91,7 +87,7 @@ def matrix_from_document(doc) -> np.ndarray:
 def map_to_document(m: AlgebraMap) -> dict:
     return {
         "algebra": ",".join(str(k) for k in m.domain.parts),
-        "coefficients": _pairs(m.coefficients),
+        "coefficients": _plain(m.coefficients),
     }
 
 

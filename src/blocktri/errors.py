@@ -22,7 +22,8 @@ class IllConditioned(BlockTriError):
 
 
 class NoConvergence(BlockTriError):
-    """An iteration failed to converge within its sweep cap."""
+    """LAPACK reported that an iteration did not converge, or ``schur`` left a
+    strict lower triangle above its bound."""
 
 
 class RepeatedEigenvalues(BlockTriError):

@@ -334,8 +334,9 @@ def recover_form(m: AlgebraMap) -> JordanForm:
     it. The first PROBE_CHUNK units, in cell order, are certified on their
     own; the rest only when all of those pass. No step draws random numbers.
     Any failure raises NotJordanEmbedding, naming the first unit, in cell
-    order, that misses the form, or saying that the diagonal-unit images
-    overflow or that S or T is not invertible.
+    order, whose image is zero among the 2n - 1 read or that misses the form,
+    or saying that the diagonal-unit images overflow or that S or T is not
+    invertible.
     """
     return _recover_certified(m)[0]
 
@@ -344,17 +345,24 @@ def recover_form(m: AlgebraMap) -> JordanForm:
 def _recover_certified(m: AlgebraMap) -> tuple[JordanForm, float]:
     """``recover_form`` and the ``form_residual`` that certified its result.
 
-    Reads only the 2n - 1 columns of the diagonal and first-row units. Overflowing
-    or non-finite diagonal-unit images are named as such; any other zero, non-finite
-    or degenerate image surfaces as a non-invertible S or T or as a failed
-    certification, never as a warning.
+    Reads only the 2n - 1 columns of the diagonal and first-row units. A zero image
+    among them is named, and so are overflowing or non-finite diagonal-unit images;
+    any other non-finite or degenerate image surfaces as a non-invertible S or T or
+    as a failed certification, never as a warning.
     """
     alg = m.domain
     n = alg.n
     c = m.coefficients
 
+    # (0) a zero image among those read would surface as a singular S or T: name its unit
+    diagonal = alg.cell_rows == alg.cell_cols
+    read = np.flatnonzero(diagonal | (alg.cell_rows == 0))
+    zero = read[~np.any(c[:, read], axis=0)]
+    if zero.size:
+        raise NotJordanEmbedding(f"image of unit {alg.cells[zero[0]]} is zero")
+
     # (1) column i of S spans the range of the rank-one P_i = phi(E_ii): its largest column
-    proj = c[:, alg.cell_rows == alg.cell_cols].T.reshape(n, n, n)
+    proj = c[:, diagonal].T.reshape(n, n, n)
     col_norms = np.sqrt(np.sum(np.abs(proj) ** 2, axis=1))  # (i, k): ||column k of P_i||
     if not np.all(np.isfinite(col_norms)):
         raise NotJordanEmbedding("diagonal-unit images overflow or are not finite")

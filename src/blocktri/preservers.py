@@ -240,18 +240,12 @@ def full_report(m, algebra=None, *, budget: int = 100, seed=0, tol: float = 1e-8
     """Run the char-poly, shrinking and commutativity checkers against the same
     budget with derived sub-seeds; the worst violation covers all three."""
     _nonnegative(budget=budget)
-    alg, _ = _evaluator(m, algebra)
     seeds = np.random.SeedSequence(seed).spawn(3)
-    cp = check_char_poly_preserving(m, alg, samples=budget, seed=seeds[0], tol=tol)
-    sh = check_spectrum_shrinking(m, alg, samples=budget, seed=seeds[1], tol=tol)
-    cm = check_commutativity_preserving(m, alg, pairs=budget, seed=seeds[2], tol=tol)
-    witnesses = {}
-    if not cp.ok:
-        witnesses["spectrum"] = cp.witnesses
-    if not sh.ok:
-        witnesses["shrinking"] = sh.witnesses
-    if not cm.ok:
-        witnesses["commutativity"] = cm.witnesses
+    cp = check_char_poly_preserving(m, algebra, samples=budget, seed=seeds[0], tol=tol)
+    sh = check_spectrum_shrinking(m, algebra, samples=budget, seed=seeds[1], tol=tol)
+    cm = check_commutativity_preserving(m, algebra, pairs=budget, seed=seeds[2], tol=tol)
+    named = (("spectrum", cp), ("shrinking", sh), ("commutativity", cm))
+    witnesses = {name: result.witnesses for name, result in named if not result.ok}
     return PreserverReport(
         spectrum_preserving=cp.ok,
         spectrum_shrinking=sh.ok,

@@ -307,6 +307,29 @@ def jordan_map(parts, rng, cond: float = 1.0, orientation=Orientation.INNER, noi
     return AlgebraMap(alg, c)
 
 
+def shear_jordan_map(parts, rng, orientation=Orientation.INNER) -> AlgebraMap:
+    """The Jordan map X -> T X T^{-1} (or T X^t T^{-1}) on ``parts`` whose
+    coefficients are exact integers: T is a product of 3n integer shears
+    I + k E_ij (i != j, k in {-2, -1, 1, 2}), and T^{-1} the product of the
+    I - k E_ij in reverse. Both are multiplied out in integers, without
+    ``inverse``, so the map carries no rounding of its own."""
+    alg = block_algebra(parts)
+    n = alg.n
+    t, tinv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.choice(n, size=2, replace=False)
+        k = int(rng.choice([-2, -1, 1, 2]))
+        t[:, j] += k * t[:, i]  # T <- T (I + k E_ij)
+        tinv[i, :] -= k * tinv[j, :]  # T^{-1} <- (I - k E_ij) T^{-1}
+    assert np.array_equal(t @ tinv, np.eye(n, dtype=np.int64))
+    rows, cols = alg.cell_rows, alg.cell_cols
+    if orientation is Orientation.ANTI_TRANSPOSE:
+        rows, cols = cols, rows
+    c = (t.T[rows][:, :, None] * tinv[cols][:, None, :]).reshape(alg.dim, n * n).T
+    assert np.max(np.abs(c)) < 2**53  # exact in float64
+    return AlgebraMap(alg, c.astype(np.complex128))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def reference_unit_gaps(m: AlgebraMap, form: JordanForm) -> np.ndarray:
     """Every unit's relative gap ||phi(E_p) - form(E_p)||_F / max(1, ||phi(E_p)||_F),

@@ -62,6 +62,18 @@ class TestConstruction:
         assert parse_composition("1," * 15 + "1") == (1,) * 16
         assert block_algebra((17,)).n == 17  # tuples are not text
 
+    @pytest.mark.parametrize("parts", [(1.5, 2), (True, 2), (np.True_, 2), (2.0, 1), ("1", 2)], ids=repr)
+    def test_tuple_parts_must_be_integers(self, parts):
+        # int() would truncate 1.5 and read True as 1
+        with pytest.raises(ValueError, match=r"composition part .* is not an integer"):
+            block_algebra(parts)
+
+    def test_tuple_parts_may_be_numpy_integers(self):
+        parts = block_algebra((np.int64(2), np.int32(1))).parts
+        assert parts == (2, 1) and all(type(k) is int for k in parts)
+        with pytest.raises(ValueError, match="must be positive"):
+            block_algebra((np.int64(0), 1))
+
     def test_support_matches_cutpoint_rule(self):
         # validate the mask against the cutpoint characterization
         for n in range(1, 7):

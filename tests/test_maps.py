@@ -35,6 +35,7 @@ from blocktri.maps import PROBE_CHUNK, VERIFY_REL
 from conftest import agreement_corpus, bounded_similarity, gaussian, reference_verdict, same_bits
 
 GAP = r"image of unit {} misses the recovered form: relative gap \S+ > 1e-07"
+ZERO = r"image of unit {} is zero"
 
 
 def unit(n, i, j):
@@ -218,7 +219,7 @@ class TestRecoverForm:
         "edits, message",
         [
             # each id names the defect the edits plant
-            pytest.param({(0, 3): "zero"}, "recovered similarity is not invertible", id=r"edits0-unit \(0, 3\) vanishes"),
+            pytest.param({(0, 3): "zero"}, ZERO.format(r"\(0, 3\)"), id=r"edits0-unit \(0, 3\) vanishes"),
             pytest.param({(2, 4): "spread"}, GAP.format(r"\(2, 4\)"), id=r"edits1-unit \(2, 4\) is not cell-concentrated"),
             pytest.param(
                 {(0, 3): "spread", (1, 2): "zero"},
@@ -226,26 +227,26 @@ class TestRecoverForm:
                 id=r"edits2-unit \(0, 3\) is not cell-concentrated",
             ),
             pytest.param(
-                {(0, 3): "zero", (1, 2): "spread"}, "recovered similarity is not invertible", id=r"edits3-unit \(0, 3\) vanishes"
+                {(0, 3): "zero", (1, 2): "spread"}, ZERO.format(r"\(0, 3\)"), id=r"edits3-unit \(0, 3\) vanishes"
             ),
             pytest.param({(1, 2): "faint"}, GAP.format(r"\(1, 2\)"), id=r"edits4-unit \(1, 2\) vanishes"),
             pytest.param({(3, 5): "anti"}, GAP.format(r"\(3, 5\)"), id="edits5-mixed orientations"),
             pytest.param({(4, 4): "spread"}, GAP.format(r"\(4, 4\)"), id="edits6-diagonal unit 4 is not rank one"),
             pytest.param(
                 {(5, 5): "double", (2, 2): "zero"},
-                "assembled similarity is not invertible",
+                ZERO.format(r"\(2, 2\)"),
                 id="edits7-diagonal unit 2 is not rank one",
             ),
             pytest.param(
                 {(2, 2): "double", (5, 5): "zero"},
-                "assembled similarity is not invertible",
+                ZERO.format(r"\(5, 5\)"),
                 id="edits8-diagonal unit 2 is not idempotent",
             ),
         ],
     )
     def test_first_failing_unit_named(self, rng, edits, message):
         # unit images edited in cell order: the first unit that misses the
-        # recovered form is named, unless S or T is not invertible
+        # recovered form is named, or the first zero image that recovery reads
         alg = block_algebra((2, 3, 3))
         t = bounded_similarity(alg.parts, rng)
         c = np.array(build_form_map(alg, JordanForm(Orientation.INNER, t)).coefficients)
@@ -257,6 +258,18 @@ class TestRecoverForm:
             c[:, k] = {"zero": 0.0, "spread": spread, "faint": 1e-12 * spread, "anti": anti[:, k], "double": 2 * c[:, k]}[edit]
         with pytest.raises(NotJordanEmbedding, match=message):
             recover_form(AlgebraMap(alg, c))
+
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=lambda o: o.value)
+    @pytest.mark.parametrize("cell", [(2, 2), (0, 3)], ids=["diagonal", "first-row"])
+    def test_zero_image_named(self, rng, tmp_path, capsys, orientation, cell):
+        # a zero image among those recovery reads is named, not reported as a singular S or T
+        alg = block_algebra((2, 3, 3))
+        c = np.array(build_form_map(alg, JordanForm(orientation, bounded_similarity(alg.parts, rng))).coefficients)
+        c[:, alg.cells.index(cell)] = 0.0
+        path = tmp_path / "map.json"
+        path.write_text(canonical_json(map_to_document(AlgebraMap(alg, c))), encoding="utf-8")
+        assert main(["recover", str(path)]) == 4
+        assert capsys.readouterr().err == f"recover: not a Jordan embedding: image of unit {cell} is zero\n"
 
     def test_certification_rejects_one_wrong_unit(self):
         # T = I is read off the diagonal and first-row units; only the
