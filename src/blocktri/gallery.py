@@ -10,10 +10,10 @@ tested at the same inputs for every map. A spec carries only its optional witnes
 are checked first; seeded random probes decide each hypothesis they do not refute.
 
 Every map takes one matrix or a (..., n, n) stack, bit for bit the same per matrix. The
-suite evaluates its six continuity and additivity inputs in one call and each two-matrix
-witness in one call, hands its map to the checkers as a stack evaluator and evaluates all
-its injectivity draws in one call, so the map is called once per chunk of probes, not once
-per probe.
+suite reads its map only through ``maps._evaluator``, as a ``_StackEvaluator``, so every
+image is checked for shape: one call maps its six continuity and additivity inputs, one a
+witness, one all its injectivity draws and one the matrix units of a linear map, and the
+checkers call it once per stack of probes.
 """
 
 import cmath
@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import BlockAlgebra, block_algebra, matrix_units, random_elements
 from .errors import NotFinite, NotJordanEmbedding
 from .linalg import char_poly, frobenius, identity, inverse, spectral_norm
-from .maps import _nonnegative, _StackEvaluator, algebra_map_from_function, is_jordan, recover_form
+from .maps import _evaluator, _nonnegative, _StackEvaluator, algebra_map_from_function, is_jordan, recover_form
 from .preservers import (
     char_poly_gap,
     check_char_poly_preserving,
@@ -145,17 +145,17 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
     A negative ``budget`` raises ValueError."""
     _nonnegative(budget=budget)
     spec = GALLERY[name]
-    alg, fn = spec.algebra, spec.evaluator
-    stacked = _StackEvaluator(fn)  # every gallery map takes (k, n, n) stacks
+    stacked = _StackEvaluator(spec.evaluator)  # every gallery map takes (k, n, n) stacks
+    alg, images = _evaluator(stacked, spec.algebra)
     a, b = _ADDENDS
-    f_limit, f_step, fa, fb, f_zero, f_sum = fn(np.stack([_LIMIT, _LIMIT + 1e-12 * _DIRECTION, a, b, 0 * a, a + b]))
+    f_limit, f_step, fa, fb, f_zero, f_sum = images(np.stack([_LIMIT, _LIMIT + 1e-12 * _DIRECTION, a, b, 0 * a, a + b]))
     jump = frobenius(f_step - f_limit) / max(1.0, frobenius(f_limit))
     additivity = max(frobenius(f_zero), frobenius(f_sum - fa - fb)) / max(1.0, frobenius(fa) + frobenius(fb))
 
     def image_gap() -> float:
         """The smallest image distance over all pairs of distinct random inputs, each evaluated once."""
         xs = random_elements(alg, seed, budget)
-        fxs = fn(xs)
+        fxs = images(xs)
         gap = np.inf
         for i in range(0, budget, 16):  # a block of 16 draws against every draw up to its end
             distinct = np.any(xs[i : i + 16, None] != xs[: i + 16], axis=(2, 3))
@@ -165,14 +165,14 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
     props = {
         "continuous": {"holds": jump <= 1e-6, "worst": jump},
         "injective": _hypothesis(
-            spec.equal_images, lambda w: frobenius(np.subtract(*fn(np.stack(w)))), lambda v: v > 0, image_gap
+            spec.equal_images, lambda w: frobenius(np.subtract(*images(np.stack(w)))), lambda v: v > 0, image_gap
         ),
         "commutativity_preserving": _hypothesis(
-            spec.commuting_pair, lambda w: commutator_gap(*fn(np.stack(w))), lambda v: v <= 1e-9,
+            spec.commuting_pair, lambda w: commutator_gap(*images(np.stack(w))), lambda v: v <= 1e-9,
             lambda: check_commutativity_preserving(stacked, alg, pairs=budget, seed=seed, tol=1e-9).worst,
         ),
         "spectrum_preserving": _hypothesis(
-            spec.spectrum_witness, lambda w: char_poly_gap(w[None], fn(w)[None])[0], lambda v: v <= 1e-8,
+            spec.spectrum_witness, lambda w: char_poly_gap(w[None], images(w[None]))[0], lambda v: v <= 1e-8,
             lambda: check_char_poly_preserving(stacked, alg, samples=budget, seed=seed, tol=1e-8).worst,
         ),
         "linear": {"holds": additivity <= 1e-10, "worst": additivity},
@@ -180,7 +180,7 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
         "recovery_rejects": {"holds": True, "worst": None},
     }
     if props["linear"]["holds"]:
-        m = algebra_map_from_function(alg, fn)
+        m = algebra_map_from_function(alg, stacked)
         check = is_jordan(m, samples=budget, seed=seed, tol=1e-9)
         props["jordan"] = {"holds": check.ok, "worst": check.worst}
         with suppress(NotJordanEmbedding):

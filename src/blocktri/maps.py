@@ -16,10 +16,11 @@ the same bits whatever layout the map was built from.
 
 Probes are evaluated as stacks, behind one boundary (``_evaluator``): an
 AlgebraMap maps a (k, n, n) stack with one unchecked product, as every probe
-is built in its domain, and a black box's images, which come from outside,
-are checked once per stack. An AlgebraMap named with another ``algebra``
-raises WrongAlgebra. ``apply_batch`` (and ``apply``) is the validated
-public entry; a map's unit images are read as one (d, n, n) stack,
+is built in its domain, and each image of a black box, which comes from
+outside, is checked for shape: a ``_StackEvaluator`` (every gallery map) maps
+a stack per call, any other box a matrix. An AlgebraMap named with another
+``algebra`` raises WrongAlgebra. ``apply_batch`` (and ``apply``) is the
+validated public entry; a map's unit images are read as one (d, n, n) stack,
 ``unit_images``. ``unit_pair_residuals`` makes one pass over the products of
 all matrix-unit images, subtracting a target only from the few pairs whose
 E_p E_q + E_q E_p is nonzero. ``is_jordan`` draws its random probes
@@ -120,8 +121,8 @@ def _nonnegative(**counts: int) -> None:
 def _evaluator(m, algebra=None) -> tuple[BlockAlgebra, Callable[[np.ndarray], np.ndarray]]:
     """The domain and an evaluator of (k, n, n) probe stacks: for an AlgebraMap one
     unchecked product, since probes are built in its domain (an ``algebra`` other
-    than that domain raises WrongAlgebra); for a black box its images, checked
-    once per stack to have the probes' shape (MismatchedDimension)."""
+    than that domain raises WrongAlgebra); for a black box its images, each checked to have
+    its probe's shape (MismatchedDimension), from one call per stack for a _StackEvaluator."""
     if isinstance(m, AlgebraMap):
         if algebra is not None and block_algebra(algebra) != m.domain:
             raise WrongAlgebra(f"the map's domain is {m.domain.parts}, not {block_algebra(algebra).parts}")
@@ -129,10 +130,9 @@ def _evaluator(m, algebra=None) -> tuple[BlockAlgebra, Callable[[np.ndarray], np
     if algebra is None:
         raise ValueError("a black-box map needs an explicit algebra; is_jordan needs an AlgebraMap, "
                          "which algebra_map_from_function builds")
-    fn = m.fn if isinstance(m, _StackEvaluator) else lambda xs: np.stack([m(x) for x in xs])
 
-    def images(xs):
-        fxs = np.asarray(fn(xs), dtype=np.complex128)
+    def images(xs, fn=m.fn if isinstance(m, _StackEvaluator) else None):
+        fxs = np.asarray([images(x, m) for x in xs] if fn is None else fn(xs), dtype=np.complex128)
         if fxs.shape != xs.shape:
             raise MismatchedDimension(f"images have shape {fxs.shape}, expected {xs.shape}")
         return fxs
@@ -217,9 +217,7 @@ def verdict(batches: Iterable[tuple[np.ndarray, Callable[[int], object] | None]]
     """
     ok, worst, witnesses = True, 0.0, []
     for res, witness in batches:
-        if res.size == 0:
-            continue
-        worst = max(worst, float(np.max(res)) if np.all(np.isfinite(res)) else np.inf)
+        worst = max(worst, float(np.max(res, initial=0.0)) if np.all(np.isfinite(res)) else np.inf)
         bad = np.flatnonzero(~(res <= tol))
         if bad.size:
             ok = False

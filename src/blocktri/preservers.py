@@ -14,9 +14,9 @@ stream is the same as one draw at a time). The multiplicity samples are drawn
 one at a time but built a stack at a time. Stack boundaries sit at every
 multiple of PROBE_CHUNK of a stream, since a stacked product's rows can round
 differently with the stack size. Images come from ``maps._evaluator``: a
-black-box evaluator is called once per probe or, if it maps whole stacks (the
-gallery's maps, handed over wrapped in ``_StackEvaluator``), once per stack,
-and its images must be n x n. The matrix-unit pairs of an AlgebraMap come
+black-box evaluator is called once per probe or, if it maps whole stacks (a
+``maps._StackEvaluator``, as the gallery's maps are), once per stack, and
+each image must be n x n. The matrix-unit pairs of an AlgebraMap come
 from its ``unit_pairs``, a black box's from one pass over its images of the
 (d, n, n) stack ``matrix_units``. The char polys of the fixed probes 0, I and
 the matrix units are known exactly, so only their images' are computed. A
@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, matrix_units, random_commuting_pairs, random_element, random_elements
 from .linalg import char_poly, eigenvalues, frobenius, identity, inverse, spectral_norm
-from .maps import PROBE_CHUNK, AlgebraMap, CheckResult, _evaluator, _nonnegative, _StackEvaluator, unit_pair_residuals, verdict
+from .maps import PROBE_CHUNK, AlgebraMap, CheckResult, _evaluator, _nonnegative, unit_pair_residuals, verdict
 
 MULTIPLICITY_CLUSTER_TOL = 1e-6
 

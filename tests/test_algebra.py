@@ -49,6 +49,9 @@ class TestConstruction:
             parse_composition("1,0,2")
         with pytest.raises(ValueError):
             parse_composition("a,b")
+        # a tuple and its text name one algebra: equal hashes, one dict entry
+        assert hash(block_algebra((1, 2))) == hash(block_algebra("1,2"))
+        assert {block_algebra((1, 2)): "found"}[block_algebra("1,2")] == "found"
 
     @pytest.mark.parametrize("text", ["17", "1000000", "8,9", "1," * 16 + "1"])
     def test_parse_caps_n_at_16(self, text):
@@ -150,6 +153,8 @@ class TestMembershipProjection:
     def test_dimension_mismatch(self):
         with pytest.raises(MismatchedDimension):
             membership(block_algebra((1, 1)), np.eye(3))
+        with pytest.raises(MismatchedDimension, match=r"^expected 3 x 3, got \(2, 2\)$"):
+            project(block_algebra((1, 2)), np.eye(2))
 
     def test_project_reversal_matrix(self):
         # the upper part of the reversal permutation survives: its (0, n-1)
@@ -267,6 +272,8 @@ class TestEmbeds:
     def test_dimension_mismatch(self):
         with pytest.raises(MismatchedDimension):
             embeds((1, 2), (2, 1, 1))
+        with pytest.raises(MismatchedDimension, match="^compositions of different sizes: 3 vs 4$"):
+            jordan_iso_class((1, 2), (2, 2))
 
 
 class TestJordanIsoClass:

@@ -6,6 +6,7 @@ drawn in chunks; the batched code must reach the same verdicts and witnesses
 from the same seeds.
 """
 
+import itertools
 import json
 import warnings
 
@@ -408,7 +409,7 @@ class TestFixedCharPolys:
             stacks.append(xs.copy())
             return apply_batch(m, xs)
 
-        res = check_char_poly_preserving(preservers._StackEvaluator(fn), m.domain, samples=40, seed=3)
+        res = check_char_poly_preserving(maps._StackEvaluator(fn), m.domain, samples=40, seed=3)
         assert res.ok
         want = reference_probes(m.domain, 40, np.random.default_rng(3))
         assert [len(s) for s in stacks] == [PROBE_CHUNK, PROBE_CHUNK, len(want) - 2 * PROBE_CHUNK]
@@ -455,7 +456,7 @@ class TestProbeStacks:
             (check_multiplicity_preserving, [PROBE_CHUNK] * 3 + [4]),
         ]:
             seen.clear()
-            assert check(preservers._StackEvaluator(fn), alg, samples=100, seed=1).ok
+            assert check(maps._StackEvaluator(fn), alg, samples=100, seed=1).ok
             assert seen == want, check.__name__
 
     @pytest.mark.parametrize(
@@ -478,7 +479,7 @@ class TestProbeStacks:
             raise self.Drawn
 
         with pytest.raises(self.Drawn):
-            check(preservers._StackEvaluator(fn), alg, samples=10_000, seed=rng)
+            check(maps._StackEvaluator(fn), alg, samples=10_000, seed=rng)
 
 
 # --- checkers against the per-probe loops -------------------------------------
@@ -555,7 +556,7 @@ class TestNonFinite:
         def fn(x):
             return (x * 1e300) * 1e300
 
-        black_box = preservers._StackEvaluator(fn) if stacked else fn
+        black_box = maps._StackEvaluator(fn) if stacked else fn
         checks = (check_char_poly_preserving, check_spectrum_shrinking, check_commutativity_preserving,
                   check_multiplicity_preserving)
         with warnings.catch_warnings():
@@ -613,19 +614,33 @@ WRONG_SHAPES = {
 }
 
 
+def ragged_box():
+    """A per-matrix box whose images are 3 x 3 and 2 x 2 in turn: each image is
+    checked, so this is a wrong shape, not numpy's ValueError for a ragged stack."""
+    calls = itertools.count()
+    return lambda x: x if next(calls) % 2 == 0 else x[:2, :2]
+
+
 class TestEvaluationBoundary:
-    @pytest.mark.parametrize("shape", list(WRONG_SHAPES), ids=str)
-    @pytest.mark.parametrize("stacked", [False, True], ids=["per-matrix", "stack"])
-    def test_wrong_image_shape(self, shape, stacked):
-        alg, fn = block_algebra((1, 2)), WRONG_SHAPES[shape]
-        black_box = preservers._StackEvaluator(fn) if stacked else fn
+    @pytest.mark.parametrize(
+        "stacked, shape",
+        [*itertools.product([False, True], WRONG_SHAPES), (False, "ragged")],
+        ids=lambda v: {False: "per-matrix", True: "stack"}.get(v, str(v)),
+    )
+    def test_wrong_image_shape(self, stacked, shape):
+        alg = block_algebra((1, 2))
+
+        def black_box():  # a fresh box for each entry point
+            fn = ragged_box() if shape == "ragged" else WRONG_SHAPES[shape]
+            return maps._StackEvaluator(fn) if stacked else fn
+
         checks = (check_char_poly_preserving, check_spectrum_shrinking, check_commutativity_preserving,
                   check_multiplicity_preserving, full_report)
         for check in checks:
             with pytest.raises(MismatchedDimension):
-                check(black_box, alg)
+                check(black_box(), alg)
         with pytest.raises(MismatchedDimension):
-            algebra_map_from_function(alg, fn)
+            algebra_map_from_function(alg, black_box())
 
     def test_algebra_map_from_function(self):
         # one call per unit, in cell order; a non-finite unit image is an error

@@ -289,8 +289,9 @@ class TestGallerySuites:
             calls.clear()
             run_gallery_suite(name, budget=budget, seed=0)
             counts.append(len(calls))
-        # 217-420 with one call per probe; a two-matrix witness is one call
-        assert counts[0] == {"mobius_contraction": 12, "det_twist": 7, "eigen_swap": 15, "block_projection": 22}[name]
+        # 217-420 with one call per probe; a two-matrix witness is one call, and so is
+        # materializing a linear map (block_projection) from its unit images
+        assert counts[0] == {"mobius_contraction": 12, "det_twist": 7, "eigen_swap": 15, "block_projection": 16}[name]
         # two more chunks: at most one call per chunk for the char-poly probes
         # and two (one per side) for the commuting pairs
         assert counts[1] - counts[0] <= 2 * 3

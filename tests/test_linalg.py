@@ -302,6 +302,12 @@ class TestStacks:
             spectral_norm(np.full((2, 3, 3), np.inf + 0j))
         with pytest.raises(MismatchedDimension):
             inverse(np.zeros((2, 3, 4)))
+        # a single matrix is validated as one
+        with pytest.raises(MismatchedDimension, match="^expected a 2-D array, got ndim=1$"):
+            inverse(np.ones(3))
+        for f in (inverse, schur):
+            with pytest.raises(MismatchedDimension, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+                f(np.ones((2, 3)))
 
 
 class TestSpectralNormAgainstPowerIteration:

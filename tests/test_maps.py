@@ -36,6 +36,7 @@ from conftest import agreement_corpus, bounded_similarity, gaussian, reference_v
 
 GAP = r"image of unit {} misses the recovered form: relative gap \S+ > 1e-07"
 ZERO = r"image of unit {} is zero"
+SINGULAR_S = "assembled similarity is not invertible: pivot 0.000e+00 below threshold at column 1"
 
 
 def unit(n, i, j):
@@ -71,6 +72,8 @@ class TestBuildFormMap:
         alg = block_algebra((1, 1))
         with pytest.raises(Singular):
             build_form_map(alg, JordanForm(Orientation.INNER, np.zeros((2, 2))))
+        with pytest.raises(MismatchedDimension, match="^similarity size does not match the algebra$"):
+            build_form_map((1, 2), JordanForm(Orientation.INNER, np.eye(2)))
 
 
 class TestAlgebraMapShape:
@@ -270,6 +273,26 @@ class TestRecoverForm:
         path.write_text(canonical_json(map_to_document(AlgebraMap(alg, c))), encoding="utf-8")
         assert main(["recover", str(path)]) == 4
         assert capsys.readouterr().err == f"recover: not a Jordan embedding: image of unit {cell} is zero\n"
+
+    @pytest.mark.parametrize(
+        "parts, cell, image, message",
+        [
+            *((parts, (1, 1), (0, 0), SINGULAR_S) for parts in [(1, 2), (3,), (2, 3, 3)]),
+            ((3,), (0, 1), (1, 0), "recovered similarity is not invertible: pivot 0.000e+00 below threshold at column 2"),
+            ((3,), (0, 2), (0, 0), "recovered similarity is not invertible: matrix contains NaN or infinite entries"),
+        ],
+        ids=["S-(1, 2)", "S-(3,)", "S-(2, 3, 3)", "T-pivot", "T-not-finite"],
+    )
+    def test_singular_similarity_named(self, tmp_path, capsys, parts, cell, image, message):
+        # a nonzero unit image among those recovery reads can still leave S or T
+        # singular: the identity map with phi(cell) replaced by the unit ``image``
+        m = identity_map(parts)
+        c = np.array(m.coefficients)
+        c[:, m.domain.cells.index(cell)] = unit(m.domain.n, *image).reshape(-1)
+        path = tmp_path / "map.json"
+        path.write_text(canonical_json(map_to_document(AlgebraMap(m.domain, c))), encoding="utf-8")
+        assert main(["recover", str(path)]) == 4
+        assert capsys.readouterr().err == f"recover: not a Jordan embedding: {message}\n"
 
     def test_certification_rejects_one_wrong_unit(self):
         # T = I is read off the diagonal and first-row units; only the
