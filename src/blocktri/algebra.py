@@ -44,23 +44,18 @@ def _part(k) -> int:
     return int(k)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BlockAlgebra:
-    """A composition together with its derived support mask and cell basis."""
+    """A composition together with its derived support mask and cell basis;
+    the derived fields take no part in equality or hashing."""
 
     parts: Composition
-    n: int
-    support: np.ndarray
-    cells: tuple[tuple[int, int], ...]
-    dim: int
-    cell_rows: np.ndarray = field(repr=False)
-    cell_cols: np.ndarray = field(repr=False)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BlockAlgebra) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+    n: int = field(compare=False)
+    support: np.ndarray = field(compare=False)
+    cells: tuple[tuple[int, int], ...] = field(compare=False)
+    dim: int = field(compare=False)
+    cell_rows: np.ndarray = field(repr=False, compare=False)
+    cell_cols: np.ndarray = field(repr=False, compare=False)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Read the support-cell coordinates of an n x n matrix (or of each
@@ -165,14 +160,14 @@ def embeds(a, b) -> Embedding:
     """How the first algebra Jordan-embeds into the second.
 
     Inner embeddings exist iff support(a) is contained in support(b); flipped
-    (anti) embeddings iff support of the reversed composition is.
+    (anti) embeddings iff flip(support(a)), the reversed composition's, is.
     """
     a = block_algebra(a)
     b = block_algebra(b)
     if a.n != b.n:
         raise MismatchedDimension(f"compositions of different sizes: {a.n} vs {b.n}")
     inner_ok = not np.any(a.support & ~b.support)
-    anti_ok = not np.any(flip_algebra(a).support & ~b.support)
+    anti_ok = not np.any(flip(a.support) & ~b.support)
     if inner_ok and anti_ok:
         return Embedding.BOTH
     if inner_ok:
@@ -183,22 +178,19 @@ def embeds(a, b) -> Embedding:
 
 
 def jordan_iso_class(a, b) -> JordanIsoClass:
-    """Classify two compositions up to Jordan isomorphism.
+    """Classify two compositions up to Jordan isomorphism: mutual embedding.
 
-    Equal tuples are isomorphic, reversed tuples anti-isomorphic, palindromic
-    equal tuples both, anything else neither.
+    Isomorphic when each ``embeds`` into the other as an inner map,
+    anti-isomorphic when each does as a flipped one, both ways when both hold.
     """
-    a = block_algebra(a)
-    b = block_algebra(b)
-    if a.n != b.n:
-        raise MismatchedDimension(f"compositions of different sizes: {a.n} vs {b.n}")
-    equal = a.parts == b.parts
-    reversed_equal = a.parts == b.parts[::-1]
-    if equal and reversed_equal:
+    ways = {embeds(a, b), embeds(b, a)}
+    inner = ways <= {Embedding.INNER_ONLY, Embedding.BOTH}
+    anti = ways <= {Embedding.ANTI_ONLY, Embedding.BOTH}
+    if inner and anti:
         return JordanIsoClass.BOTH_WAYS
-    if equal:
+    if inner:
         return JordanIsoClass.ISOMORPHIC
-    if reversed_equal:
+    if anti:
         return JordanIsoClass.ANTI_ISOMORPHIC
     return JordanIsoClass.NOT_JORDAN_ISOMORPHIC
 

@@ -35,7 +35,7 @@ from .linalg import (
 RANK_ONE_REL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InAlgebraDiagonalization:
     """Similarity T inside the algebra with T diag(d) T^{-1} = source."""
 
@@ -44,7 +44,7 @@ class InAlgebraDiagonalization:
     diagonal: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdempotentForm:
     """Upper-triangular invertible T with T E_ii T^{-1} = source, plus the index i."""
 

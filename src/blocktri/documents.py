@@ -113,22 +113,19 @@ def canonical_json(obj) -> str:
 
 
 def _plain(obj):
-    """Coerce numpy scalars/arrays and complex values into JSON-safe types; a
-    non-finite float becomes the string "Infinity", "-Infinity" or "NaN"."""
+    """Coerce numpy arrays, numpy scalars (by ``.item()``) and complex values into
+    JSON-safe types; a non-finite float becomes the string "Infinity", "-Infinity" or "NaN"."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         return _plain(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if math.isfinite(x) else json.dumps(x)  # "Infinity", "-Infinity", "NaN"
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else json.dumps(obj)  # "Infinity", "-Infinity", "NaN"
+    if isinstance(obj, complex):
         return _plain([obj.real, obj.imag])
     return obj
 

@@ -192,7 +192,7 @@ def char_poly(a: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurForm:
     """Unitary Schur triangularization: input = unitary @ upper @ unitary^H."""
 

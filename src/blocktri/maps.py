@@ -63,7 +63,7 @@ class Orientation(enum.Enum):
     ANTI_TRANSPOSE = "anti-transpose"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanForm:
     """Orientation tag plus the invertible similarity matrix T.
 
@@ -75,7 +75,7 @@ class JordanForm:
     t: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraMap:
     """A linear map from a block algebra into M_n, in cell-basis coordinates:
     ``coefficients`` has shape (n^2, dim), or MismatchedDimension is raised. It is

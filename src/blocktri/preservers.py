@@ -91,15 +91,13 @@ def _check(stacks: Iterator[np.ndarray], images, residual, tol: float) -> CheckR
     return verdict(((residuals(a), lambda i: a[i].copy()) for a in stacks), tol)
 
 
-def char_poly_gap(a: np.ndarray, fa: np.ndarray, pa: np.ndarray | None = None) -> np.ndarray:
+def char_poly_gap(a: np.ndarray, fa: np.ndarray, pa=()) -> np.ndarray:
     """The char-poly residual of each input of a (k, n, n) stack against its
     image: the largest coefficient gap, the x^k one scaled by max(1, ||A||_F)^(n-k).
-    ``pa``, when given, is ``char_poly`` of the first len(pa) inputs."""
+    ``pa`` is ``char_poly`` of the first len(pa) inputs, none by default."""
     n = a.shape[-1]
-    if pa is None:
-        pa = char_poly(a)
-    elif len(pa) < len(a):
-        pa = np.concatenate([pa, char_poly(a[len(pa) :])])
+    if len(pa) < len(a):
+        pa = np.concatenate([np.reshape(pa, (-1, n + 1)), char_poly(a[len(pa) :])])
     diff = char_poly(fa) - pa
     scale = np.maximum(1.0, frobenius(a))[:, None] ** (n - np.arange(n + 1))
     return np.max(np.abs(diff) / scale, axis=-1)
@@ -125,7 +123,7 @@ def check_char_poly_preserving(
     rng = np.random.default_rng(seed)
     fixed = _fixed_char_polys(alg)
     known = iter(np.split(fixed, range(PROBE_CHUNK, len(fixed), PROBE_CHUNK)))  # the fixed part of each stack
-    return _check(_probe_stacks(alg, samples, rng), images, lambda a, fa: char_poly_gap(a, fa, next(known, None)), tol)
+    return _check(_probe_stacks(alg, samples, rng), images, lambda a, fa: char_poly_gap(a, fa, next(known, ())), tol)
 
 
 def check_spectrum_shrinking(

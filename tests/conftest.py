@@ -15,6 +15,7 @@ from blocktri import (
     NoConvergence,
     Orientation,
     SchurForm,
+    apply,
     block_algebra,
     build_form_map,
     random_element,
@@ -367,6 +368,36 @@ def agreement_corpus(compositions, conds, noises, seeds=(0,)):
         rng = np.random.default_rng([seed, k])
         label = f"{parts} seed={seed} cond={cond:g} {orientation.value} noise={noise:g}"
         yield label, jordan_map(parts, rng, cond, orientation, noise)
+
+
+def detection_control(parts, orientation) -> AlgebraMap:
+    """The exact Jordan map that ``detection_families`` spoils: cond(T) = 10."""
+    return jordan_map(parts, np.random.default_rng(1), cond=10, orientation=orientation)
+
+
+def detection_families(parts, orientation) -> dict:
+    """One spoiled version of ``detection_control`` per perturbation family:
+    - ``noise``: relative Gaussian noise of 1e-6 on every unit image (T from
+      ``default_rng(0)``);
+    - ``rank_one``: a complex rank-one u v^t added to the image of unit d // 2,
+      of Frobenius norm 1e-3 times that image's;
+    - ``scaled``: every coefficient times 1e300;
+    - ``quadratic``: the black box X -> phi(X) + x_00^2 E_00, nonlinear.
+    """
+    m = detection_control(parts, orientation)
+    n, p = m.domain.n, m.domain.dim // 2
+    u, v = gaussian(np.random.default_rng(2), 2, n)
+    uv = np.outer(u, v).ravel()
+    rank_one = m.coefficients.copy()
+    rank_one[:, p] += uv * (1e-3 * np.linalg.norm(rank_one[:, p]) / np.linalg.norm(uv))
+    e00 = np.zeros((n, n), dtype=np.complex128)
+    e00[0, 0] = 1.0
+    return {
+        "noise": jordan_map(parts, np.random.default_rng(0), cond=10, orientation=orientation, noise=1e-6),
+        "rank_one": AlgebraMap(m.domain, rank_one),
+        "scaled": AlgebraMap(m.domain, m.coefficients * 1e300),
+        "quadratic": lambda x: apply(m, x) + x[0, 0] ** 2 * e00,
+    }
 
 
 def separated_diagonal(rng, n: int, gap: float = 0.3) -> np.ndarray:

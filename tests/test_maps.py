@@ -8,10 +8,13 @@ import pytest
 
 from blocktri import (
     AlgebraMap,
+    IdempotentForm,
+    InAlgebraDiagonalization,
     JordanForm,
     MismatchedDimension,
     NotJordanEmbedding,
     Orientation,
+    SchurForm,
     Singular,
     WrongAlgebra,
     algebra_map_from_function,
@@ -82,6 +85,26 @@ class TestAlgebraMapShape:
         # (1,2) has n = 3 and dim 7: the coefficients must be 9 x 7
         with pytest.raises(MismatchedDimension, match=r"expected \(9, 7\)"):
             AlgebraMap(block_algebra((1, 2)), np.zeros(shape))
+
+
+# Each builds a fresh record around fresh arrays, equal from call to call.
+ARRAY_RECORDS = {
+    "JordanForm": lambda: JordanForm(Orientation.INNER, np.eye(2, dtype=complex)),
+    "AlgebraMap": lambda: identity_map((1, 1)),
+    "InAlgebraDiagonalization": lambda: InAlgebraDiagonalization(block_algebra((1, 1)), np.eye(2), np.ones(2)),
+    "SchurForm": lambda: SchurForm(np.eye(2), np.eye(2)),
+    "IdempotentForm": lambda: IdempotentForm(np.eye(2), 0),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_records_holding_arrays_compare_by_identity(build):
+    # fieldwise equality would ask numpy for the truth value of an array
+    # comparison and raise, and fieldwise hashing would hash an ndarray
+    record, twin = build(), build()
+    assert record == record
+    assert record != twin
+    assert len({record, twin, record}) == 2
 
 
 class TestApply:

@@ -6,6 +6,7 @@ import pytest
 from blocktri import (
     GALLERY,
     JordanForm,
+    NotJordanEmbedding,
     Orientation,
     block_algebra,
     build_form_map,
@@ -18,9 +19,10 @@ from blocktri import (
     recover_form,
 )
 
-from conftest import bounded_similarity, shear_jordan_map
+from conftest import bounded_similarity, detection_control, detection_families, shear_jordan_map
 
-INTEGRAL = [(parts, orientation) for parts in [(1, 1, 1), (2, 3, 3), (4, 4, 4, 4)] for orientation in Orientation]
+INTEGRAL = [(parts, orientation) for parts in [(1, 1, 1), (2, 3, 3), (4, 4, 4, 4), (16,)] for orientation in Orientation]
+DETECTION = [(parts, orientation) for parts in [(1, 2), (4, 4), (4, 4, 4), (4, 4, 4, 4)] for orientation in Orientation]
 
 
 class TestCharPolyPreserving:
@@ -111,13 +113,43 @@ class TestIntegralJordanMaps:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 2: the shrinking check rejects all six maps (worst 5.7e-8 to 6.2e-6); the first "
+        reason="ROADMAP item 2: the shrinking check rejects all eight maps (worst 5.7e-8 to 6.2e-6); the first "
         "violations are nilpotent matrix units, whose images' LAPACK eigenvalues spread past the 1e-8 tolerance",
     )
     def test_spectrum_shrinking_accepts(self):
         for parts, orientation in INTEGRAL:
             m = shear_jordan_map(parts, np.random.default_rng(0), orientation)
             assert check_spectrum_shrinking(m, samples=10).ok, (parts, orientation.value)
+
+
+@pytest.mark.parametrize("parts, orientation", DETECTION, ids=[f"{p}-{o.value}" for p, o in DETECTION])
+class TestDetectionPower:
+    """At n = 3, 8, 12 and 16, each family of ``detection_families`` is rejected
+    by the checks meant to catch it, at samples=10, while the exact map it
+    spoils passes them."""
+
+    def test_control_accepted(self, parts, orientation):
+        m = detection_control(parts, orientation)
+        assert is_jordan(m, samples=10).ok
+        assert check_char_poly_preserving(m, samples=10).ok
+        assert recover_form(m).orientation is orientation
+
+    @pytest.mark.parametrize("family", ["noise", "rank_one", "scaled"])
+    def test_recovery_and_is_jordan_reject(self, parts, orientation, family):
+        m = detection_families(parts, orientation)[family]
+        with pytest.raises(NotJordanEmbedding):
+            recover_form(m)
+        assert not is_jordan(m, samples=10).ok
+
+    def test_char_poly_rejects_scaled(self, parts, orientation):
+        m = detection_families(parts, orientation)["scaled"]
+        assert not check_char_poly_preserving(m, samples=10).ok
+
+    def test_spectrum_checks_reject_quadratic(self, parts, orientation):
+        fn = detection_families(parts, orientation)["quadratic"]
+        algebra = block_algebra(parts)
+        assert not check_char_poly_preserving(fn, algebra, samples=10).ok
+        assert not check_spectrum_shrinking(fn, algebra, samples=10).ok
 
 
 class TestCommutativityPreserving:
