@@ -183,6 +183,7 @@ def jordan_iso_class(a, b) -> JordanIsoClass:
     Isomorphic when each ``embeds`` into the other as an inner map,
     anti-isomorphic when each does as a flipped one, both ways when both hold.
     """
+    a, b = block_algebra(a), block_algebra(b)
     ways = {embeds(a, b), embeds(b, a)}
     inner = ways <= {Embedding.INNER_ONLY, Embedding.BOTH}
     anti = ways <= {Embedding.ANTI_ONLY, Embedding.BOTH}

@@ -10,7 +10,8 @@ IllConditioned) and the Faddeev-LeVerrier recursion for characteristic
 polynomials. ``eigenvalues``, ``char_poly``, ``frobenius``, ``inverse`` and
 ``spectral_norm`` also take (..., n, n) stacks of matrices; LAPACK runs on
 each matrix of a stack exactly as on the matrix alone, so a stacked result is
-bit for bit the per-matrix one.
+bit for bit the per-matrix one. ``inverse`` and ``spectral_norm`` therefore
+have one code path each and take a matrix as a stack of one.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def identity(n: int) -> np.ndarray:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Invert a square matrix.
+    """Invert a square matrix, or each matrix of a (..., n, n) stack.
 
     Raises Singular when a Gauss-Jordan pivot (partial pivoting) falls below
     1e-12 * max|a|, and IllConditioned when the 1-norm condition estimate
@@ -102,34 +103,20 @@ def inverse(a: np.ndarray) -> np.ndarray:
     1/|u_kk| <= ||U^-1||_1 <= n ||A^-1||_1 keeps every pivot off the threshold;
     every other case runs the Gauss-Jordan elimination.
 
-    A (..., n, n) stack is inverted matrix by matrix by the same rule, and the
-    first matrix that fails raises its own error.
+    A matrix is a stack of one: one stacked LAPACK call and one condition
+    test pick the members that Gauss-Jordan decides, in order, so the first
+    matrix that fails raises its own error.
     """
-    if np.ndim(a) > 2:
-        return _inverse_stack(as_stack(a))
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
-    try:
-        inv = np.linalg.inv(a)
-        if n == 0 or n * _norm1(a) * _norm1(inv) < CONDITION_BOUND:  # False on inf and NaN
-            return inv
-    except np.linalg.LinAlgError:
-        pass
-    return _gauss_jordan(a)
-
-
-def _inverse_stack(a: np.ndarray) -> np.ndarray:
-    """``inverse`` of each matrix of a finite (..., n, n) stack: one stacked
-    LAPACK call, then Gauss-Jordan for the members whose condition test fails."""
+    a = as_stack(a) if np.ndim(a) > 2 else as_matrix(a, square=True)
+    if a.size == 0:
+        return np.empty_like(a)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
-    if flat.size == 0:
-        return np.empty_like(a)
     try:
         inv = np.linalg.inv(flat)
-    except np.linalg.LinAlgError:  # LAPACK met an exactly singular member: decide each alone
-        return np.stack([inverse(m) for m in flat]).reshape(a.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test, as on one matrix
+    except np.linalg.LinAlgError:  # an exactly singular member: every member fails the test below
+        inv = np.full_like(flat, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
         failed = ~(n * _norm1(flat) * _norm1(inv) < CONDITION_BOUND)
     for i in np.flatnonzero(failed):
         inv[i] = _gauss_jordan(flat[i])
@@ -256,12 +243,9 @@ def _lapack(name: str, *args, **kwargs):
 
 
 def spectral_norm(a: np.ndarray):
-    """Largest singular value, from LAPACK's singular values, as a float; of
-    each matrix of a (..., n, n) stack, as an array. LAPACK's failure to
-    converge raises NoConvergence."""
-    if np.ndim(a) > 2:
-        a = as_stack(a)
-        return _lapack("svd", a, compute_uv=False)[..., 0] if a.size else np.zeros(a.shape[:-2])
-    a = as_matrix(a)
-    return float(_lapack("svd", a, compute_uv=False)[0]) if a.size else 0.0
-
+    """Largest singular value, from LAPACK's singular values, as an array for a
+    (..., n, n) stack and as a float for a matrix, which is a stack of one (it
+    may be non-square; empty gives 0.0). LAPACK's failure raises NoConvergence."""
+    a = as_stack(a) if np.ndim(a) > 2 else as_matrix(a)
+    norm = _lapack("svd", a, compute_uv=False)[..., 0] if a.size else np.zeros(a.shape[:-2])
+    return float(norm) if a.ndim == 2 else norm

@@ -22,7 +22,8 @@ from blocktri import (
     project,
     random_element,
 )
-from blocktri.algebra import random_commuting_pairs, random_elements
+from blocktri import algebra as algebra_module
+from blocktri.algebra import BlockAlgebra, random_commuting_pairs, random_elements
 from blocktri.linalg import frobenius
 
 from conftest import (
@@ -299,6 +300,19 @@ class TestJordanIsoClass:
                         (False, False): JordanIsoClass.NOT_JORDAN_ISOMORPHIC,
                     }[(inner_both, anti_both)]
                     assert iso is expected
+
+    def test_builds_each_algebra_once(self, monkeypatch):
+        built = []
+        real = algebra_module.block_algebra
+
+        def counting(spec):
+            if not isinstance(spec, BlockAlgebra):
+                built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(algebra_module, "block_algebra", counting)
+        assert jordan_iso_class((1, 2), (2, 1)) is JordanIsoClass.ANTI_ISOMORPHIC
+        assert built == [(1, 2), (2, 1)]
 
 
 class TestRandomSampling:

@@ -52,6 +52,12 @@ class TestDocuments:
         again = canonical_json(map_to_document(map_from_document(json.loads(text))))
         assert text == again
 
+    def test_numpy_scalars_become_plain_json(self):
+        doc = {
+            "a": np.float64(np.inf), "b": np.int64(3), "c": np.bool_(True), "d": np.complex128(1 - 2j), "e": np.float32(0.5)
+        }
+        assert canonical_json(doc) == canonical_json({"a": "Infinity", "b": 3, "c": True, "d": [1.0, -2.0], "e": 0.5})
+
     def test_matrix_schema_rejections(self):
         with pytest.raises(InvalidDocument):
             matrix_from_document({"entries": []})

@@ -24,6 +24,7 @@ from blocktri import (
     spectral_norm,
 )
 from blocktri.algebra import random_commuting_pairs, random_elements
+from blocktri.gallery import CounterexampleSpec
 from blocktri.linalg import char_poly, frobenius
 from blocktri.maps import PROBE_CHUNK
 
@@ -345,3 +346,19 @@ class TestGallerySuites:
             for hypothesis in HYPOTHESES:
                 assert props[hypothesis]["holds"] is (hypothesis != spec.violated_property), (name, hypothesis)
             assert props["jordan"]["holds"] is False or props["recovery_rejects"]["holds"] is True
+
+    @pytest.mark.parametrize("budget", [0, 5, 100])
+    @pytest.mark.parametrize("parts", [(1, 2), (1, 1, 1)])
+    @pytest.mark.parametrize("transposed", [False, True], ids=["inner", "transpose"])
+    def test_jordan_maps_satisfy_everything(self, monkeypatch, transposed, parts, budget):
+        # the paper's positive direction: X -> T X T^-1 and X -> T X^t T^-1 keep all
+        # four hypotheses, are linear Jordan maps, and recovery accepts them
+        t = np.eye(3) + 0.3 * gaussian(np.random.default_rng(7), 3)
+        t_inv = np.linalg.inv(t)
+        flip = (lambda x: np.swapaxes(x, -1, -2)) if transposed else (lambda x: x)
+        spec = CounterexampleSpec("similarity", block_algebra(parts), lambda x: t @ flip(x) @ t_inv, None)
+        monkeypatch.setitem(GALLERY, spec.name, spec)
+        props = run_gallery_suite(spec.name, budget=budget, seed=0)["properties"]
+        for prop in HYPOTHESES + ("linear", "jordan"):
+            assert props[prop]["holds"] is True, prop
+        assert props["recovery_rejects"]["holds"] is False

@@ -1,4 +1,4 @@
-"""Hash three output corpora of blocktri, so two versions can be shown to give the same results.
+"""Hash four output corpora of blocktri, so two versions can be shown to give the same results.
 
     PYTHONPATH=src python3 tools/same_results.py
 
@@ -10,14 +10,18 @@ prints one sha256 per corpus for whichever ``blocktri`` is importable:
   every gallery name, budgets 0, 1, 5, 17 and 100, and seeds 0-39;
 - ``certify``: every field and witness of ``is_jordan``, ``full_report`` and
   ``check_multiplicity_preserving`` (as perfbench's ``certify`` op calls them)
-  on that workload's inputs 0-5 at seeds 1-3, FULL and SMOKE sizes.
+  on that workload's inputs 0-5 at seeds 1-3, FULL and SMOKE sizes;
+- ``canon``: every outcome of perfbench's ``canon`` op (``recover_form`` on
+  the form map and on the perturbed map, ``diagonalize_in_algebra`` twice,
+  ``schur`` and ``triangular_idempotent_form``) on inputs 0-3 at seeds 1-3,
+  FULL and SMOKE sizes.
 
 Run it against two source trees (``PYTHONPATH=<tree>/src``) and compare the
 lines. It imports ``perfbench/workloads.py`` without writing a bytecode cache
 and writes documents only into a temporary directory, whose path is replaced
 by a fixed token in the cli output. BLAS runs on one thread, as in perfbench,
 because a thread count can move last bits. Floats are hashed exactly, by
-``float.hex``; arrays by dtype, shape and bytes.
+``float.hex``; arrays by dtype, shape and bytes; enum members by type and value.
 """
 
 import os
@@ -26,6 +30,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ[_var] = "1"  # must precede the numpy import to take effect
 
 import dataclasses  # noqa: E402
+import enum  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import sys  # noqa: E402
@@ -42,6 +47,7 @@ SEEDS = (1, 2, 3)
 GALLERY_BUDGETS = (0, 1, 5, 17, 100)
 GALLERY_SEEDS = range(40)
 CERTIFY_OPS = range(6)  # two whole cycles of inner, anti-transpose and perturbed maps
+CANON_OPS = range(4)
 DOCS_TOKEN = "<docs>"
 
 
@@ -57,7 +63,9 @@ def load_workloads():
 
 def canonical(obj):
     """A nested tuple of strings that determines ``obj`` exactly: floats in hex,
-    arrays by dtype, shape and bytes, records and exceptions with their type."""
+    arrays by dtype, shape and bytes, records, enum members and exceptions with their type."""
+    if isinstance(obj, enum.Enum):
+        return (type(obj).__name__, canonical(obj.value))
     if isinstance(obj, np.ndarray):
         return ("ndarray", obj.dtype.str, obj.shape, hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest())
     if isinstance(obj, BaseException):
@@ -103,11 +111,12 @@ def gallery_corpus():
                 yield canonical_json(blocktri.run_gallery_suite(name, budget=budget, seed=seed))
 
 
-def certify_corpus(wl_module, workdir: str):
+def op_corpus(wl_module, name: str, ops, workdir: str):
+    """The outcomes of workload ``name``'s op on inputs ``ops``, seeds 1-3, FULL and SMOKE sizes."""
     for size in (wl_module.FULL, wl_module.SMOKE):
         for seed in SEEDS:
-            wl = wl_module.make_workload("certify", blocktri, seed, size, workdir)
-            for k in CERTIFY_OPS:
+            wl = wl_module.make_workload(name, blocktri, seed, size, workdir)
+            for k in ops:
                 yield wl.run(wl.make_input(k))
 
 
@@ -117,7 +126,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same-results-") as workdir:
         print(f"cli {digest(cli_corpus(wl_module, workdir))}")
         print(f"gallery {digest(gallery_corpus())}")
-        print(f"certify {digest(certify_corpus(wl_module, workdir))}")
+        print(f"certify {digest(op_corpus(wl_module, 'certify', CERTIFY_OPS, workdir))}")
+        print(f"canon {digest(op_corpus(wl_module, 'canon', CANON_OPS, workdir))}")
     return 0
 
 
