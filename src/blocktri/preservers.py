@@ -16,9 +16,8 @@ multiple of PROBE_CHUNK of a stream, since a stacked product's rows can round
 differently with the stack size. Images come from ``maps._evaluator``: a
 black-box evaluator is called once per probe or, if it maps whole stacks (a
 ``maps._StackEvaluator``, as the gallery's maps are), once per stack, and
-each image must be n x n. The matrix-unit pairs of an AlgebraMap come
-from its ``unit_pairs``, a black box's from one pass over its images of the
-(d, n, n) stack ``matrix_units``. The char polys of the fixed probes 0, I and
+each image must be n x n. The commuting unit pairs come from ``unit_pairs``
+or a pass over a black box's unit images. The char polys of the fixed probes 0, I and
 the matrix units are known exactly, so only their images' are computed. A
 probe whose image or residual is not finite is a violation, and the worst
 is inf. A negative ``samples``, ``pairs`` or ``budget`` raises ValueError,
@@ -148,8 +147,8 @@ def check_commutativity_preserving(
 ) -> CheckResult:
     """Images of commuting pairs must commute, relative to their norms.
 
-    Every commuting pair of matrix units is checked (from the map's
-    ``unit_pairs``, or one pass over a black box's unit images, each
+    Every commuting pair of matrix units is checked (the commutators of the
+    map's ``unit_pairs``, or of one pass over a black box's unit images, each
     evaluated once), then ``pairs`` random commuting pairs.
     """
     _nonnegative(pairs=pairs)
@@ -159,9 +158,7 @@ def check_commutativity_preserving(
 
     def unit_batch():
         unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, images(units))
-        commuting = unit_pairs.commuting
-        p, q = unit_pairs.p[commuting], unit_pairs.q[commuting]
-        yield unit_pairs.commutator[commuting], lambda i: (units[p[i]], units[q[i]])
+        yield unit_pairs.commutator, lambda i: (units[unit_pairs.p[i]], units[unit_pairs.q[i]])
 
     drawn = (random_commuting_pairs(alg, rng, min(PROBE_CHUNK, pairs - lo)) for lo in range(0, pairs, PROBE_CHUNK))
     batches = ((commutator_gap(images(ps), images(qs)), lambda i: (ps[i].copy(), qs[i].copy())) for ps, qs in drawn)

@@ -35,7 +35,7 @@ from blocktri.documents import canonical_json, map_to_document
 from blocktri.linalg import frobenius
 from blocktri.maps import PROBE_CHUNK, VERIFY_REL
 
-from conftest import agreement_corpus, bounded_similarity, gaussian, reference_verdict, same_bits
+from conftest import agreement_corpus, bounded_similarity, gaussian, jordan_map, reference_verdict, same_bits
 
 GAP = r"image of unit {} misses the recovered form: relative gap \S+ > 1e-07"
 ZERO = r"image of unit {} is zero"
@@ -176,6 +176,30 @@ class TestIsJordan:
         for _ in range(10):
             coeffs = gaussian(rng, alg.n**2, alg.dim)
             assert not is_jordan(AlgebraMap(alg, coeffs), samples=4, seed=0).ok
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("parts", [(4, 4, 4, 4), (1,) * 16], ids=["4x4", "1x16"])
+    def test_one_entry_of_one_unit_image(self, parts, seed):
+        # the exhaustive unit pairs see an error confined to one entry of one unit
+        # image in full; the 40 random squares alone accept every such map
+        orientation = [Orientation.INNER, Orientation.ANTI_TRANSPOSE][seed % 2]
+        rng = np.random.default_rng([seed, 7])
+        m = jordan_map(parts, rng, 1.0, orientation)
+        n, c = m.domain.n, np.array(m.coefficients)
+        r = rng.integers(m.domain.dim)
+        a, b = rng.integers(n, size=2)
+        c[a * n + b, r] += 5e-8 * np.linalg.norm(c[:, r])
+        check = is_jordan(AlgebraMap(m.domain, c))
+        assert not check.ok
+        assert check.worst >= 4e-8
+
+    def test_unit_pairs_alone_decide(self, rng):
+        # samples=0 checks the unit-pair identities alone, which decide a linear map
+        alg = block_algebra((1, 2))
+        form = JordanForm(Orientation.INNER, bounded_similarity(alg.parts, rng))
+        assert is_jordan(build_form_map(alg, form), samples=0).ok
+        for _ in range(10):
+            assert not is_jordan(AlgebraMap(alg, gaussian(rng, alg.n**2, alg.dim)), samples=0).ok
 
 
 class TestRecoverForm:

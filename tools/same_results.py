@@ -11,6 +11,9 @@ prints one sha256 per corpus for whichever ``blocktri`` is importable:
 - ``certify``: every field and witness of ``is_jordan``, ``full_report`` and
   ``check_multiplicity_preserving`` (as perfbench's ``certify`` op calls them)
   on that workload's inputs 0-5 at seeds 1-3, FULL and SMOKE sizes;
+- ``certify-verdicts``: only the verdict flags of those same calls
+  (``is_jordan`` ok, the three ``full_report`` flags, multiplicity ok), so a
+  change that moves worst values by design can show its verdicts did not move;
 - ``canon``: every outcome of perfbench's ``canon`` op (``recover_form`` on
   the form map and on the perturbed map, ``diagonalize_in_algebra`` twice,
   ``schur`` and ``triangular_idempotent_form``) on inputs 0-3 at seeds 1-3,
@@ -120,13 +123,29 @@ def op_corpus(wl_module, name: str, ops, workdir: str):
                 yield wl.run(wl.make_input(k))
 
 
+def verdicts(outcome):
+    """The verdict flags of one certify outcome; a call that raised gives its exception."""
+    jordan, report, multiplicity = outcome
+
+    def flags(result, *names):
+        return result if isinstance(result, BaseException) else tuple(getattr(result, f) for f in names)
+
+    return (
+        flags(jordan, "ok"),
+        flags(report, "spectrum_preserving", "spectrum_shrinking", "commutativity_preserving"),
+        flags(multiplicity, "ok"),
+    )
+
+
 def main() -> int:
     print(f"blocktri from {Path(blocktri.__file__).parent}", file=sys.stderr)
     wl_module = load_workloads()
     with tempfile.TemporaryDirectory(prefix="same-results-") as workdir:
         print(f"cli {digest(cli_corpus(wl_module, workdir))}")
         print(f"gallery {digest(gallery_corpus())}")
-        print(f"certify {digest(op_corpus(wl_module, 'certify', CERTIFY_OPS, workdir))}")
+        certify = list(op_corpus(wl_module, "certify", CERTIFY_OPS, workdir))
+        print(f"certify {digest(certify)}")
+        print(f"certify-verdicts {digest(map(verdicts, certify))}")
         print(f"canon {digest(op_corpus(wl_module, 'canon', CANON_OPS, workdir))}")
     return 0
 
