@@ -19,9 +19,13 @@ Composition = tuple[int, ...]
 
 
 def parse_composition(text: str) -> Composition:
-    """Parse the text form "k1,k2,...,kr" (argv, documents) of a composition of n <= 16."""
+    """Parse the text form "k1,k2,...,kr" (argv, documents) of a composition of n <= 16.
+    Each part is ASCII digits alone: no sign, space, underscore or other script's digit."""
+    tokens = text.split(",")
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError("a part is not ASCII digits")
+        parts = tuple(int(tok) for tok in tokens)  # ValueError past int()'s digit limit
     except ValueError as exc:
         raise ValueError(f"malformed composition {text!r}") from exc
     _positive(parts, text)

@@ -94,8 +94,10 @@ def map_to_document(m: AlgebraMap) -> dict:
 def map_from_document(doc) -> AlgebraMap:
     if not isinstance(doc, dict) or "algebra" not in doc or "coefficients" not in doc:
         raise InvalidDocument("map document needs 'algebra' and 'coefficients'")
+    if not isinstance(doc["algebra"], str):
+        raise InvalidDocument("map document 'algebra' must be a string such as \"1,2\"")
     try:
-        parts = parse_composition(str(doc["algebra"]))
+        parts = parse_composition(doc["algebra"])
     except ValueError as exc:
         raise InvalidDocument(str(exc)) from exc
     algebra = block_algebra(parts)

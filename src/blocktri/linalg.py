@@ -1,13 +1,14 @@
 """Dense complex linear algebra at desk scale (n <= 16).
 
 All matrices are plain numpy arrays of complex128. Eigenvalues, linear solves,
-eigenvectors, singular values and well-conditioned inverses come from LAPACK
-(``numpy.linalg``, only ever called from this module). Schur forms deflate
-one LAPACK eigenvalue at a time with the null vector from a LAPACK SVD and a
-Householder reflector. The rest is self-contained: Gauss-Jordan inversion
-with partial pivoting (the fallback that decides Singular and
-IllConditioned) and the Faddeev-LeVerrier recursion for characteristic
-polynomials. ``eigenvalues``, ``char_poly``, ``frobenius``, ``inverse`` and
+eigenvectors, QR factors, singular values and well-conditioned inverses come
+from LAPACK (``numpy.linalg``, only ever called from this module). ``schur``
+orthonormalizes the eigenvectors by QR; an input that then fails its acceptance
+test deflates one eigenvalue at a time with the null vector from a LAPACK SVD
+and a Householder reflector. The rest is self-contained: Gauss-Jordan inversion
+with partial pivoting (the fallback that decides Singular and IllConditioned)
+and the Faddeev-LeVerrier recursion for characteristic polynomials.
+``eigenvalues``, ``char_poly``, ``frobenius``, ``inverse`` and
 ``spectral_norm`` also take (..., n, n) stacks of matrices; LAPACK runs on
 each matrix of a stack exactly as on the matrix alone, so a stacked result is
 bit for bit the per-matrix one. ``inverse`` and ``spectral_norm`` therefore
@@ -190,20 +191,27 @@ class SchurForm:
 def schur(a: np.ndarray) -> SchurForm:
     """Unitary Schur form a = U T U^H with T upper-triangular.
 
-    Deflation (Golub & Van Loan, Matrix Computations, 7.1): at each k, one
-    Householder reflector maps a null vector of T[k:, k:] - lam I (lam a LAPACK
-    eigenvalue, the vector its last right singular vector) to e_1, which zeroes
-    column k below the diagonal up to rounding. Zero columns are skipped: for
-    triangular a, U = I and T = a unless scaling made an entry subnormal. A strict
-    lower triangle above 64 n eps ||A||_F, or a LAPACK failure, raises NoConvergence.
+    Both paths accept a strict lower triangle of at most 64 n eps ||A||_F; NaN
+    fails. First, U is the Q factor of a QR of a's LAPACK eigenvectors and
+    T = U^H a U. If that fails (a defective a can), a deflates (Golub & Van Loan,
+    Matrix Computations, 7.1): at each k, one Householder reflector maps a null vector
+    of T[k:, k:] - lam I (lam a LAPACK eigenvalue, the vector its last right singular
+    vector) to e_1, which zeroes column k below the diagonal up to rounding. Zero
+    columns are skipped: for triangular a, U = I and T = a unless scaling made an
+    entry subnormal. Failing after deflation, or a LAPACK failure, raises NoConvergence.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    q = identity(n)
     exp = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
     t = _ldexp(a, -exp)  # max |t| in [1/2, 1); a power-of-two scaling is exact
     threshold = SCHUR_LOWER_EPS * n * np.finfo(np.float64).eps
     scale = frobenius(t)
+    if np.tril(t, -1).any():
+        q = _lapack("qr", _lapack("eig", t)[1])[0]
+        upper = np.conj(q.T) @ t @ q
+        if np.max(np.abs(np.tril(upper, -1))) <= threshold * scale:  # NaN fails: a deflates
+            return SchurForm(unitary=q, upper=_ldexp(np.triu(upper), exp))
+    q = identity(n)
     for k in range(n - 1):
         if not t[k + 1 :, k].any():
             continue

@@ -54,6 +54,21 @@ class TestConstruction:
         assert hash(block_algebra((1, 2))) == hash(block_algebra("1,2"))
         assert {block_algebra((1, 2)): "found"}[block_algebra("1,2")] == "found"
 
+    # int() alone would read each of these as a composition
+    @pytest.mark.parametrize(
+        "text", ["1_0", "+1,2", " 2,1", "2,1\n", "\u0661,2", "2, 1", "1,,2", "", pytest.param("1" * 5000, id="5000-digits")]
+    )
+    def test_parse_takes_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="malformed composition"):
+            parse_composition(text)
+        with pytest.raises(ValueError, match="malformed composition"):
+            block_algebra(text)
+
+    @pytest.mark.parametrize("text", ["1,0,2", "0", "00,1"])
+    def test_parse_zero_part_is_not_positive(self, text):
+        with pytest.raises(ValueError, match="must be positive"):
+            parse_composition(text)
+
     @pytest.mark.parametrize("text", ["17", "1000000", "8,9", "1," * 16 + "1"])
     def test_parse_caps_n_at_16(self, text):
         with pytest.raises(ValueError, match="exceeds n = 16"):

@@ -78,6 +78,17 @@ class TestDocuments:
         with pytest.raises(InvalidDocument):
             map_from_document(bad)
 
+    @pytest.mark.parametrize("algebra", [3, 3.0, [3], None, True, "1_2", " 3"], ids=repr)
+    def test_map_algebra_must_be_composition_text(self, tmp_path, capsys, algebra):
+        # str() would read the JSON number 3 as the composition "3", whose M_3 fits this grid
+        doc = {"algebra": algebra, "coefficients": [[[0.0, 0.0]] * 9 for _ in range(9)]}
+        with pytest.raises(InvalidDocument):
+            map_from_document(doc)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["recover", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
 
 def reference_grid(rows, cols, row_error):
     """The pair-by-pair reference decoder, in row-major order. An integer
@@ -288,6 +299,13 @@ class TestEmbedCheckCommand:
 
     def test_parse_error(self, capsys):
         assert main(["embed-check", "1,x", "3"]) == 2
+
+    @pytest.mark.parametrize("text", ["1_0", "+1,2", " 2,1", "2,1\n", "\u0661,2"])
+    def test_composition_takes_ascii_digits_only(self, capsys, text):
+        assert main(["embed-check", text, "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"embed-check: malformed composition {text!r}\n"
 
     def test_json_flag(self, capsys):
         assert main(["embed-check", "1,2", "1,2", "--json"]) == 0

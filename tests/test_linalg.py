@@ -26,7 +26,7 @@ from blocktri import (
 )
 from blocktri.linalg import CONDITION_BOUND, _gauss_jordan, frobenius
 
-from conftest import det_oracle, gaussian, match_multisets, power_iteration_norm, qr_schur, same_bits
+from conftest import bounded_similarity, det_oracle, gaussian, match_multisets, power_iteration_norm, qr_schur, same_bits
 
 
 def unit(n, i, j):
@@ -394,15 +394,73 @@ class TestSchurDeflation:
             with pytest.raises(NotFinite):
                 schur(np.full((3, 3), bad + 0j))
 
-    @pytest.mark.parametrize("name", ["eigvals", "svd"])
-    def test_lapack_failure_is_no_convergence(self, rng, monkeypatch, name):
+    @staticmethod
+    def conjugated_jordan(rng, n):
+        """U J_n U^H for a Haar-like unitary U: defective, so ``schur`` deflates it."""
+        u = np.linalg.qr(gaussian(rng, n))[0]
+        return u @ np.diag(np.ones(n - 1), 1) @ np.conj(u.T)
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """Wrap each named ``np.linalg`` routine; the returned dict counts its calls."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _routine=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _routine(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    # every routine schur can reach, on an input that reaches it: eig and qr on
+    # any non-triangular input, eigvals and svd only on one that deflates
+    @pytest.mark.parametrize(
+        "name, defective",
+        [("eig", False), ("qr", False), ("eigvals", True), ("svd", True)],
+        ids=["eig", "qr", "eigvals", "svd"],
+    )
+    def test_lapack_failure_is_no_convergence(self, rng, monkeypatch, name, defective):
+        a = self.conjugated_jordan(rng, 4) if defective else gaussian(rng, 4)
+        calls = self.count_calls(monkeypatch, name)
+        schur(a)
+        assert calls[name] > 0  # the routine is on this input's path
+
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{name} did not converge")
 
-        a = gaussian(rng, 4)
         monkeypatch.setattr(np.linalg, name, fail)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match=f"LAPACK {name} did not converge"):
             schur(a)
+
+    @pytest.mark.parametrize("parts", [(4, 4, 4, 4), (16,)])
+    def test_diagonalizable_input_takes_one_eigendecomposition(self, rng, monkeypatch, parts):
+        # S diag(d) S^-1 with S in the algebra and gaps >= 1/2, as the canon workload builds
+        s = bounded_similarity(parts, rng)
+        d = rng.permutation(16) + 1 + rng.uniform(-0.25, 0.25, 16) + 1j * rng.uniform(-0.25, 0.25, 16)
+        a = s @ np.diag(d) @ inverse(s)
+        calls = self.count_calls(monkeypatch, "eig", "qr", "eigvals", "svd")
+        form = schur(a)
+        self.assert_schur_form(a, form)
+        assert calls == {"eig": 1, "qr": 1, "eigvals": 0, "svd": 0}
+
+    def test_defective_input_deflates(self, rng, monkeypatch):
+        a = self.conjugated_jordan(rng, 16)
+        calls = self.count_calls(monkeypatch, "eig", "eigvals")
+        self.assert_schur_form(a, schur(a))
+        assert calls == {"eig": 1, "eigvals": 15}
+
+    def test_nan_eigenvectors_deflate(self, rng, monkeypatch):
+        eig = np.linalg.eig
+
+        def nan_vectors(m):
+            return eig(m)[0], np.full(m.shape, np.nan + 0j)
+
+        a = gaussian(rng, 8)
+        monkeypatch.setattr(np.linalg, "eig", nan_vectors)
+        calls = self.count_calls(monkeypatch, "eig", "eigvals")
+        form = schur(a)
+        self.assert_schur_form(a, form)
+        assert calls == {"eig": 1, "eigvals": 7}
 
     def test_lower_triangle_bound_names_value_and_threshold(self, rng, monkeypatch):
         monkeypatch.setattr(blocktri.linalg, "SCHUR_LOWER_EPS", 0.0)
