@@ -21,17 +21,21 @@ Composition = tuple[int, ...]
 def parse_composition(text: str) -> Composition:
     """Parse the text form "k1,k2,...,kr" (argv, documents) of a composition of n <= 16.
     Each part is ASCII digits alone: no sign, space, underscore or other script's digit."""
-    tokens = text.split(",")
     try:
-        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-            raise ValueError("a part is not ASCII digits")
-        parts = tuple(int(tok) for tok in tokens)  # ValueError past int()'s digit limit
+        parts = tuple(_digits(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed composition {text!r}") from exc
     _positive(parts, text)
     if sum(parts) > 16:  # checked before any n x n allocation
         raise ValueError(f"composition {text!r} exceeds n = 16")
     return parts
+
+
+def _digits(token: str) -> int:
+    """``token`` as an int if it is ASCII digits alone, the rule for every argv integer; else ValueError."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not ASCII digits: {token!r}")
+    return int(token)  # ValueError past int()'s digit limit
 
 
 def _positive(parts: Composition, spec) -> None:

@@ -3,9 +3,10 @@
 Subcommands: embed-check, recover, verify, diagonalize, gallery. Reports go
 to stdout as canonical JSON (or short text), diagnostics to stderr. Exit
 codes are a stable contract: 0 success, 2 input error, 3 no embedding,
-4 not a Jordan embedding, 5 repeated eigenvalues, 6 not in algebra. Any
-library error without a code of its own, a bad document or composition
-included, exits 2.
+4 not a Jordan embedding, 5 repeated eigenvalues, 6 not in algebra. ``main``
+maps errors to codes with one table, ``_EXITS``; any other library error, a
+bad document or composition included, exits 2. Every argv integer is ASCII
+digits alone, and --tol is one ASCII literal, with no '_' and no spaces.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 
 from .algebra import (
     Embedding,
+    _digits,
     block_algebra,
     jordan_iso_class,
     membership,
@@ -32,7 +34,7 @@ from .documents import (
     map_from_document,
     matrix_from_document,
 )
-from .errors import BlockTriError, NotJordanEmbedding, RepeatedEigenvalues
+from .errors import BlockTriError, NotJordanEmbedding, RepeatedEigenvalues, WrongAlgebra
 from .gallery import GALLERY, run_gallery_suite
 from .maps import _recover_certified
 from .preservers import full_report
@@ -43,17 +45,17 @@ EXIT_NO_EMBEDDING = 3
 EXIT_NOT_JORDAN = 4
 EXIT_REPEATED_EIGENVALUES = 5
 EXIT_NOT_IN_ALGEBRA = 6
+_EXITS = {  # main's one mapping from an error, by its exact type, to an exit code and a message prefix
+    NotJordanEmbedding: (EXIT_NOT_JORDAN, "not a Jordan embedding: "),
+    RepeatedEigenvalues: (EXIT_REPEATED_EIGENVALUES, ""),
+    WrongAlgebra: (EXIT_NOT_IN_ALGEBRA, ""),
+}
 
 # Largest --budget, the number of random probes each check of verify and
 # gallery draws. It bounds a run: at the cap, verify on a d = 160 map takes
 # 7 to 8 s and a gallery suite up to about 15 s (gallery compares
 # budget^2 / 2 pairs of images; 2-core x86, CPython 3.11, one BLAS thread).
 MAX_BUDGET = 10_000
-
-
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
 
 
 def _cmd_embed_check(args) -> int:
@@ -73,10 +75,7 @@ def _cmd_embed_check(args) -> int:
 
 def _cmd_recover(args) -> int:
     m = map_from_document(load_json(args.map_file))
-    try:
-        form, residual = _recover_certified(m)
-    except NotJordanEmbedding as exc:
-        return _fail(EXIT_NOT_JORDAN, f"recover: not a Jordan embedding: {exc}")
+    form, residual = _recover_certified(m)
     sys.stdout.write(canonical_json({"orientation": form.orientation.value, "T": form.t, "residual": residual}))
     return EXIT_OK
 
@@ -92,18 +91,15 @@ def _cmd_diagonalize(args) -> int:
     algebra = block_algebra(parse_composition(args.algebra))
     matrix = matrix_from_document(load_json(args.matrix_file))
     if matrix.shape != (algebra.n, algebra.n) or not membership(algebra, matrix, tol=1e-12):
-        return _fail(EXIT_NOT_IN_ALGEBRA, "diagonalize: matrix is not in the algebra")
-    try:
-        result = diagonalize_in_algebra(algebra, project(algebra, matrix), args.constraint)
-    except RepeatedEigenvalues as exc:
-        return _fail(EXIT_REPEATED_EIGENVALUES, f"diagonalize: {exc}")
+        raise WrongAlgebra("matrix is not in the algebra")
+    result = diagonalize_in_algebra(algebra, project(algebra, matrix), args.constraint)
     sys.stdout.write(canonical_json({"T": result.similarity, "diagonal": result.diagonal}))
     return EXIT_OK
 
 
 def _cmd_gallery(args) -> int:
     if args.name not in GALLERY:
-        return _fail(EXIT_INPUT, f"gallery: unknown name {args.name!r}")
+        raise ValueError(f"unknown name {args.name!r}")
     report = run_gallery_suite(args.name, budget=args.budget, seed=args.seed)
     sys.stdout.write(canonical_json(report))
     return EXIT_OK
@@ -111,12 +107,9 @@ def _cmd_gallery(args) -> int:
 
 def _non_negative_int(text: str) -> int:
     try:
-        value = int(text)
+        return _digits(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
 
 
 def _budget(text: str) -> int:
@@ -127,8 +120,9 @@ def _budget(text: str) -> int:
 
 
 def _tol(text: str) -> float:
+    literal = text.isascii() and "_" not in text and text == text.strip()  # float() alone takes all three
     try:
-        value = float(text)
+        value = float(text) if literal else math.nan
     except ValueError:
         value = math.nan
     if not 0.0 < value < math.inf:  # also rejects NaN
@@ -164,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagonalize", help="diagonalize a matrix within its block algebra")
     p.add_argument("algebra")
     p.add_argument("matrix_file")
-    p.add_argument("--constraint", type=int, default=None, help="0-based diagonal index")
+    p.add_argument("--constraint", type=_non_negative_int, default=None, help="0-based diagonal index")
     p.set_defaults(fn=_cmd_diagonalize)
 
     p = sub.add_parser("gallery", help="run one counterexample's certified property suite")
@@ -185,7 +179,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (BlockTriError, ValueError) as exc:  # any other library or argument error is an input error
-        return _fail(EXIT_INPUT, f"{args.command}: {exc}")
+        code, prefix = _EXITS.get(type(exc), (EXIT_INPUT, ""))
+        print(f"{args.command}: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

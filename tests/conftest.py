@@ -331,6 +331,73 @@ def shear_jordan_map(parts, rng, orientation=Orientation.INNER) -> AlgebraMap:
     return AlgebraMap(alg, c.astype(np.complex128))
 
 
+def berkowitz(a: list[list[int]]) -> list[int]:
+    """The char poly det(xI - A) of a square matrix of Python ints, highest
+    power first, by Berkowitz's division-free algorithm (Inf. Process. Lett.
+    18 (1984)): exact, since it only adds and multiplies."""
+    n = len(a)
+    poly = [1]  # char poly of the trailing (n - k - 1) x (n - k - 1) block s
+    for k in range(n - 1, -1, -1):
+        # a[k:, k:] = [[a_kk, r], [col, s]]; its char poly is the lower-triangular
+        # Toeplitz matrix with first column 1, -a_kk, -r col, -r s col, ... times poly
+        r, col, s = a[k][k + 1 :], [row[k] for row in a[k + 1 :]], [row[k + 1 :] for row in a[k + 1 :]]
+        first = [1, -a[k][k]]
+        for _ in range(n - k - 1):
+            first.append(-sum(x * y for x, y in zip(r, col)))
+            col = [sum(x * y for x, y in zip(row, col)) for row in s]
+        poly = [sum(first[i - j] * poly[j] for j in range(min(i, len(poly) - 1) + 1)) for i in range(len(poly) + 1)]
+    return poly
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def integer_probes(alg, rng, units: int | None = None, members: int = 20):
+    """Integer members of ``alg`` as n x n lists of Python ints: 0, the matrix
+    units (all of them, or ``units`` cells drawn from ``rng``), then ``members``
+    random members with entries in [-3, 3]."""
+
+    def member(values):
+        x = [[0] * alg.n for _ in range(alg.n)]
+        for (i, j), v in zip(alg.cells, values):
+            x[i][j] = int(v)
+        return x
+
+    cells = range(alg.dim) if units is None else sorted(rng.choice(alg.dim, size=units, replace=False))
+    yield member([0] * alg.dim)
+    for p in cells:
+        yield member(np.arange(alg.dim) == p)
+    for _ in range(members):
+        yield member(rng.integers(-3, 4, alg.dim))
+
+
+def exact_referee(m: AlgebraMap, probes) -> str | None:
+    """Judge a map with integral coefficients exactly, in Python ints, on
+    integer probes (``integer_probes``): None when every probe X has
+    charpoly(phi(X)) = charpoly(X) and phi(X^2) = phi(X)^2, else what the first
+    failing probe breaks. Asserts that every coefficient is an integer."""
+    alg, n = m.domain, m.domain.n
+    rows = []
+    for row in m.coefficients.tolist():
+        assert all(z.imag == 0.0 and z.real.is_integer() for z in row), "coefficients are not integral"
+        rows.append([int(z.real) for z in row])
+
+    def phi(x):
+        coords = [(p, x[i][j]) for p, (i, j) in enumerate(alg.cells) if x[i][j]]
+        flat = [sum(row[p] * v for p, v in coords) for row in rows]
+        return [flat[i * n : (i + 1) * n] for i in range(n)]
+
+    for k, x in enumerate(probes):
+        fx = phi(x)
+        if berkowitz(fx) != berkowitz(x):
+            return f"probe {k}: the char poly of phi(X) is not that of X"
+        if phi(_int_matmul(x, x)) != _int_matmul(fx, fx):
+            return f"probe {k}: phi(X^2) != phi(X)^2"
+    return None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def reference_unit_gaps(m: AlgebraMap, form: JordanForm) -> np.ndarray:
     """Every unit's relative gap ||phi(E_p) - form(E_p)||_F / max(1, ||phi(E_p)||_F),

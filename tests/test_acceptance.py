@@ -51,6 +51,10 @@ from conftest import (
 
 SEED = 20260810
 SIZES = range(3, 9)
+# n = 16, the top of the envelope: run by criteria 2, 3, 5 and 6 after SIZES,
+# each from a generator of its own so the draws at SIZES stay as they were
+LARGE = [(1,) * 16, (4, 4, 4, 4), (8, 8), (16,)]
+LARGE_DRAWS = 50  # per LARGE composition (and orientation) in criteria 2 and 6
 
 
 @contextmanager
@@ -71,7 +75,14 @@ def unit(n, i, j):
 
 @pytest.fixture(scope="module")
 def recovery_corpus():
-    """200 seeded (composition, orientation, T) triples with small condition."""
+    """200 seeded (composition, orientation, T) triples with small condition at
+    n <= 8, then one per LARGE composition and orientation."""
+
+    def entry(parts, orientation, rng):
+        t = bounded_similarity(parts, rng, diag_spread=0.4)
+        alg = block_algebra(parts)
+        return alg, orientation, t, build_form_map(alg, JordanForm(orientation, t))
+
     rng = np.random.default_rng(SEED + 3)
     corpus = []
     for k in range(200):
@@ -79,9 +90,9 @@ def recovery_corpus():
         comps = all_compositions(n)
         parts = comps[int(rng.integers(len(comps)))]
         orientation = Orientation.INNER if rng.integers(2) == 0 else Orientation.ANTI_TRANSPOSE
-        t = bounded_similarity(parts, rng, diag_spread=0.4)
-        alg = block_algebra(parts)
-        corpus.append((alg, orientation, t, build_form_map(alg, JordanForm(orientation, t))))
+        corpus.append(entry(parts, orientation, rng))
+    rng = np.random.default_rng(SEED + 16)
+    corpus += [entry(parts, orientation, rng) for parts in LARGE for orientation in Orientation]
     return corpus
 
 
@@ -105,6 +116,21 @@ def test_criterion_1_flip_laws():
                     assert membership(flipped, flip(e), tol=0.0)
 
 
+def check_diagonalization(parts, constrained, rng):
+    n = sum(parts)
+    s = int(rng.integers(n)) if constrained else None
+    alg, a = make_member(parts, rng, constraint=s, gap=0.1)
+    res = diagonalize_in_algebra(alg, a, constraint=s)
+    t = res.similarity
+    assert membership(alg, t, tol=0.0)
+    recon = t @ np.diag(res.diagonal) @ inverse(t)
+    assert frobenius(recon - a) <= 1e-8 * frobenius(a)
+    if constrained:
+        e = unit(n, s, s)
+        assert np.max(np.abs(t @ e - e @ t)) == 0.0
+        assert t[s, s] == 1.0
+
+
 def test_criterion_2_in_algebra_diagonalization():
     with criterion(2, "in-algebra diagonalization: exact membership, 1e-8 residual, exact constraint"):
         for n in SIZES:
@@ -112,18 +138,11 @@ def test_criterion_2_in_algebra_diagonalization():
             comps = all_compositions(n)
             for k in range(200):
                 parts = comps[int(rng.integers(len(comps)))]
-                constrained = k % 2 == 1
-                s = int(rng.integers(n)) if constrained else None
-                alg, a = make_member(parts, rng, constraint=s, gap=0.1)
-                res = diagonalize_in_algebra(alg, a, constraint=s)
-                t = res.similarity
-                assert membership(alg, t, tol=0.0)
-                recon = t @ np.diag(res.diagonal) @ inverse(t)
-                assert frobenius(recon - a) <= 1e-8 * frobenius(a)
-                if constrained:
-                    e = unit(n, s, s)
-                    assert np.max(np.abs(t @ e - e @ t)) == 0.0
-                    assert t[s, s] == 1.0
+                check_diagonalization(parts, k % 2 == 1, rng)
+        rng = np.random.default_rng(SEED + 216)
+        for parts in LARGE:
+            for k in range(LARGE_DRAWS):
+                check_diagonalization(parts, k % 2 == 1, rng)
 
 
 def test_criterion_3_recovery_round_trip(recovery_corpus):
@@ -195,42 +214,50 @@ def test_criterion_5_spectrum_preservation(recovery_corpus):
                 assert res.ok, f"multiplicity violation {res.worst}"
 
 
+def check_jordan_identities(parts, orientation, draws, rng):
+    rel = lambda lhs, rhs: frobenius(lhs - rhs) / max(1.0, frobenius(lhs), frobenius(rhs))
+    alg, n = block_algebra(parts), sum(parts)
+    t = bounded_similarity(parts, rng)
+    m = build_form_map(alg, JordanForm(orientation, t))
+    for _ in range(draws):
+        x = random_element(alg, rng)
+        y = random_element(alg, rng)
+        z = random_element(alg, rng)
+        fx, fy, fz = apply(m, x), apply(m, y), apply(m, z)
+        # (a) triple product
+        assert rel(apply(m, x @ y @ x), fx @ fy @ fx) <= 1e-8
+        # (b) iterated commutator
+        c = x @ y - y @ x
+        fc = fx @ fy - fy @ fx
+        assert rel(apply(m, c @ z - z @ c), fc @ fz - fz @ fc) <= 1e-8
+        # (c) squared commutator
+        assert rel(apply(m, c @ c), fc @ fc) <= 1e-8
+    for _ in range(draws):
+        # (d) idempotents map to idempotents
+        t0 = bounded_similarity(parts, rng)
+        d = np.diag(rng.integers(0, 2, n).astype(np.complex128))
+        p = t0 @ d @ inverse(t0)
+        fp = apply(m, p)
+        assert frobenius(fp @ fp - fp) <= 1e-8 * max(1.0, frobenius(p) ** 2)
+        # (f) inverses map to inverses, on invertible samples
+        x = random_element(alg, rng)
+        x = x + (1.0 + frobenius(x)) * np.eye(n)
+        assert rel(apply(m, inverse(x)), inverse(apply(m, x))) <= 1e-8
+
+
 def test_criterion_6_jordan_identities():
     with criterion(6, "Jordan identities (triple product, commutators, idempotents, inverses) at 1e-8"):
         rng = np.random.default_rng(SEED + 66)
-        rel = lambda lhs, rhs: frobenius(lhs - rhs) / max(1.0, frobenius(lhs), frobenius(rhs))
         for n in SIZES:
             comps = all_compositions(n)
             for orientation in Orientation:
                 for _ in range(2):
                     parts = comps[int(rng.integers(len(comps)))]
-                    alg = block_algebra(parts)
-                    t = bounded_similarity(parts, rng)
-                    m = build_form_map(alg, JordanForm(orientation, t))
-                    for _ in range(200):
-                        x = random_element(alg, rng)
-                        y = random_element(alg, rng)
-                        z = random_element(alg, rng)
-                        fx, fy, fz = apply(m, x), apply(m, y), apply(m, z)
-                        # (a) triple product
-                        assert rel(apply(m, x @ y @ x), fx @ fy @ fx) <= 1e-8
-                        # (b) iterated commutator
-                        c = x @ y - y @ x
-                        fc = fx @ fy - fy @ fx
-                        assert rel(apply(m, c @ z - z @ c), fc @ fz - fz @ fc) <= 1e-8
-                        # (c) squared commutator
-                        assert rel(apply(m, c @ c), fc @ fc) <= 1e-8
-                    for _ in range(200):
-                        # (d) idempotents map to idempotents
-                        t0 = bounded_similarity(parts, rng)
-                        d = np.diag(rng.integers(0, 2, n).astype(np.complex128))
-                        p = t0 @ d @ inverse(t0)
-                        fp = apply(m, p)
-                        assert frobenius(fp @ fp - fp) <= 1e-8 * max(1.0, frobenius(p) ** 2)
-                        # (f) inverses map to inverses, on invertible samples
-                        x = random_element(alg, rng)
-                        x = x + (1.0 + frobenius(x)) * np.eye(n)
-                        assert rel(apply(m, inverse(x)), inverse(apply(m, x))) <= 1e-8
+                    check_jordan_identities(parts, orientation, 200, rng)
+        rng = np.random.default_rng(SEED + 616)
+        for parts in LARGE:
+            for orientation in Orientation:
+                check_jordan_identities(parts, orientation, LARGE_DRAWS, rng)
 
 
 def test_criterion_7_gallery():

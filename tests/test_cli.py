@@ -541,13 +541,32 @@ class TestEnvelope:
         assert f"argument --seed: must be a non-negative integer, got {seed!r}" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "-0.0", "abc", "1e999"])
+    # float() alone reads the last three as 1e-8
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "-0.0", "abc", "1e999", "1_0e-9", " 1e-8", "١e-8"])
     def test_tol_rejected(self, capsys, tol):
         assert main(["verify", "map.json", f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --tol: must be a finite positive number, got {tol!r}" in captured.err
         assert "Traceback" not in captured.err
+
+    # int() alone reads each of these as an integer; each run would exit 0
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--budget", "1_0"), ("--budget", "٣"), ("--seed", " 7"), ("--constraint", "١")],
+        ids=["budget-underscore", "budget-arabic-indic", "seed-space", "constraint-arabic-indic"],
+    )
+    def test_integer_not_ascii_digits(self, identity_map_file, tmp_path, capsys, option, value):
+        if option == "--constraint":
+            path = tmp_path / "m.json"
+            path.write_text(canonical_json(matrix_to_document(np.diag([1.0, 2.0, 3.0]).astype(complex))), encoding="utf-8")
+            argv = ["diagonalize", "1,2", str(path)]
+        else:
+            argv = ["verify", identity_map_file, "--budget", "3"]
+        assert main(argv + [f"{option}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must be a non-negative integer, got {value!r}" in captured.err
 
     def test_tol_accepted(self, identity_map_file, capsys):
         assert main(["verify", identity_map_file, "--budget", "3", "--tol", "1e-300"]) == 0
@@ -694,7 +713,7 @@ def fuzz_files(tmp_path_factory):
     return [str(root / name) for name in maps] + [missing], [str(root / name) for name in matrices] + [missing]
 
 
-JUNK = st.text(alphabet="0123456789,.-+eEinfa x", max_size=6)
+JUNK = st.text(alphabet="0123456789,.-+eEinfa x_١", max_size=6)
 COMPOSITION = st.one_of(
     st.sampled_from(["1", "3", "1,2", "2,1", "1,1,1"]),
     st.lists(st.integers(1, 6), min_size=1, max_size=4).map(lambda p: ",".join(map(str, p))),

@@ -5,6 +5,7 @@ import pytest
 
 from blocktri import (
     GALLERY,
+    AlgebraMap,
     JordanForm,
     NotJordanEmbedding,
     Orientation,
@@ -19,7 +20,14 @@ from blocktri import (
     recover_form,
 )
 
-from conftest import bounded_similarity, detection_control, detection_families, shear_jordan_map
+from conftest import (
+    bounded_similarity,
+    detection_control,
+    detection_families,
+    exact_referee,
+    integer_probes,
+    shear_jordan_map,
+)
 
 INTEGRAL = [(parts, orientation) for parts in [(1, 1, 1), (2, 3, 3), (4, 4, 4, 4), (16,)] for orientation in Orientation]
 DETECTION = [(parts, orientation) for parts in [(1, 2), (4, 4), (4, 4, 4), (4, 4, 4, 4)] for orientation in Orientation]
@@ -110,6 +118,23 @@ class TestIntegralJordanMaps:
         assert is_jordan(m, samples=10).ok
         assert check_char_poly_preserving(m, samples=10).ok
         assert recover_form(m).orientation is orientation
+
+    @pytest.mark.parametrize("parts, orientation", INTEGRAL, ids=[f"{p}-{o.value}" for p, o in INTEGRAL])
+    def test_exact_referee_accepts(self, parts, orientation):
+        # every probe up to n = 8; at n = 16, 0, 8 units and 4 members (the referee takes about 13 ms a probe there)
+        m = shear_jordan_map(parts, np.random.default_rng(0), orientation)
+        units, members = (None, 20) if m.domain.n <= 8 else (8, 4)
+        assert exact_referee(m, integer_probes(m.domain, np.random.default_rng(1), units, members)) is None
+
+    def test_unit_coefficient_plus_one_rejected(self):
+        m = shear_jordan_map((2, 3, 3), np.random.default_rng(0))
+        c = m.coefficients.copy()
+        c[0, m.domain.dim // 2] += 1  # the (0, 0) entry of the image of unit (2, 7)
+        spoiled = AlgebraMap(m.domain, c)
+        assert exact_referee(spoiled, integer_probes(m.domain, np.random.default_rng(1))) is not None
+        assert not is_jordan(spoiled, samples=10).ok
+        with pytest.raises(NotJordanEmbedding):
+            recover_form(spoiled)
 
     @pytest.mark.xfail(
         strict=True,
