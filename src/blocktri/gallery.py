@@ -4,16 +4,19 @@ For n >= 3 the Jordan embeddings are exactly the continuous injective maps that
 preserve commutativity and spectrum. A Moebius contraction breaks spectrum, a
 determinant-driven conjugation twist commutativity, an eigenvalue swap on distinct
 diagonals continuity, and the block-diagonal projection injectivity.
-``run_gallery_suite`` reports the same seven properties for every map: the four
-hypotheses, ``linear``, ``jordan`` and ``recovery_rejects``. Continuity and linearity are
-tested at the same inputs for every map. A spec carries only its optional witnesses, which
-are checked first; seeded random probes decide each hypothesis they do not refute.
+``run_gallery_suite`` reports the same seven properties for every map, on an algebra of any
+n: the four hypotheses, ``linear``, ``jordan`` and ``recovery_rejects``. Continuity and
+linearity are tested at L = diag(1, ..., n) and E_01 (E_00 at n = 1). A spec carries at most one
+witness, a stack of inputs checked first against its violated property; seeded random
+probes decide every hypothesis no witness refutes. ``jordan`` is ``is_jordan`` on the map
+itself.
 
 Every map takes one matrix or a (..., n, n) stack, bit for bit the same per matrix. The
 suite reads its map only through ``maps._evaluator``, as a ``_StackEvaluator``, so every
-image is checked for shape: one call maps its six continuity and additivity inputs, one a
-witness, one all its injectivity draws and one the matrix units of a linear map, and the
-checkers call it once per stack of probes.
+image is checked for shape: one call maps its six continuity and additivity inputs, one the
+witness, one all its injectivity draws, and, for a linear map, two its matrix units (for
+``is_jordan`` and for recovery); the checks call it once per stack of probes, twice for a
+pair or a square.
 """
 
 import cmath
@@ -27,12 +30,7 @@ from .algebra import BlockAlgebra, block_algebra, matrix_units, random_elements
 from .errors import NotFinite, NotJordanEmbedding
 from .linalg import char_poly, frobenius, identity, inverse, spectral_norm
 from .maps import _evaluator, _nonnegative, _StackEvaluator, algebra_map_from_function, is_jordan, recover_form
-from .preservers import (
-    char_poly_gap,
-    check_char_poly_preserving,
-    check_commutativity_preserving,
-    commutator_gap,
-)
+from .preservers import char_poly_gap, check_char_poly_preserving, check_commutativity_preserving, commutator_gap
 
 
 def mobius_contraction(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
@@ -96,59 +94,49 @@ def block_projection(algebra: BlockAlgebra, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CounterexampleSpec:
-    """A gallery map, the property it breaks and the optional witnesses its suite checks first."""
+    """A gallery map, the property it breaks and an optional witness: a stack of inputs
+    that refutes that property, which its suite checks first."""
 
     name: str
     algebra: BlockAlgebra
     evaluator: Callable[[np.ndarray], np.ndarray]
     violated_property: str
-    equal_images: tuple[np.ndarray, np.ndarray] | None = None
-    commuting_pair: tuple[np.ndarray, np.ndarray] | None = None
-    spectrum_witness: np.ndarray | None = None
+    witness: np.ndarray | None = None
 
 
-_E = dict(zip(block_algebra((3,)).cells, matrix_units(block_algebra((3,)))))  # every gallery map has n = 3
+_E = matrix_units(block_algebra((3,))).reshape(3, 3, 3, 3)  # _E[i, j] = E_ij at n = 3, every gallery map's n
 _A = _E[0, 1] + _E[1, 0]  # commutes with A + 2I; det_twist's images of the two do not commute
 
-# Every row's inputs: continuity fails if a step of 1e-12 from _LIMIT along E_01 moves the image by
-# over 1e-6 * max(1, ||f(_LIMIT)||_F), as no map Lipschitz there with a constant below 1e6 does;
-# _ADDENDS (a, b) test f(a + b) = f(a) + f(b) and sum to _LIMIT, which eigen_swap moves.
-_LIMIT = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
-_DIRECTION = _E[0, 1]
-_ADDENDS = (_LIMIT + _DIRECTION, -_DIRECTION)
 
-
-def _spec(name: str, parts, fn, violated: str, **witnesses) -> CounterexampleSpec:
+def _spec(name: str, parts, fn, violated: str, *witness: np.ndarray) -> CounterexampleSpec:
     alg = block_algebra(parts)
-    return CounterexampleSpec(name, alg, lambda x: fn(alg, x), violated, **witnesses)
+    return CounterexampleSpec(name, alg, lambda x: fn(alg, x), violated, np.stack(witness) if witness else None)
 
 
 GALLERY: dict[str, CounterexampleSpec] = {
     spec.name: spec for spec in (
-        _spec("mobius_contraction", (1, 2), mobius_contraction, "spectrum_preserving", spectrum_witness=0 * _LIMIT),
-        _spec("det_twist", (2, 1), det_twist, "commutativity_preserving", commuting_pair=(_A, _A + 2 * identity(3))),
+        _spec("mobius_contraction", (1, 2), mobius_contraction, "spectrum_preserving", np.zeros_like(_A)),
+        _spec("det_twist", (2, 1), det_twist, "commutativity_preserving", _A, _A + 2 * identity(3)),
         _spec("eigen_swap", (1, 1, 1), eigen_swap, "continuous"),
-        _spec("block_projection", (1, 2), block_projection, "injective", equal_images=(_E[0, 1], 0 * _LIMIT)),
+        _spec("block_projection", (1, 2), block_projection, "injective", _E[0, 1], np.zeros_like(_A)),
     )
 }
 
 
-def _hypothesis(witness, measure, holds: Callable[[float], bool], probes: Callable[[], float]) -> dict:
-    """Refuted by the spec's witness if its measure fails ``holds``, else decided on the probes."""
-    value = None if witness is None else measure(witness)
-    worst = value if value is not None and not holds(value) else probes()
-    return {"holds": bool(holds(worst)), "worst": float(worst)}
-
-
 def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
-    """Run the hypothesis suite on one gallery map: per property, ``holds`` and its ``worst`` value.
-    A negative ``budget`` raises ValueError."""
+    """Run the hypothesis suite on one gallery map, on an algebra of any n: per property,
+    ``holds`` and its ``worst`` value. A negative ``budget`` raises ValueError."""
     _nonnegative(budget=budget)
     spec = GALLERY[name]
     stacked = _StackEvaluator(spec.evaluator)  # every gallery map takes (k, n, n) stacks
     alg, images = _evaluator(stacked, spec.algebra)
-    a, b = _ADDENDS
-    f_limit, f_step, fa, fb, f_zero, f_sum = images(np.stack([_LIMIT, _LIMIT + 1e-12 * _DIRECTION, a, b, 0 * a, a + b]))
+    # continuity fails if a step of 1e-12 from L along E_01 moves the image by over
+    # 1e-6 * max(1, ||f(L)||_F), as no map Lipschitz there with a constant below 1e6 does;
+    # the addends (a, b) test f(a + b) = f(a) + f(b) and sum to L, which eigen_swap moves
+    limit = np.diag(np.arange(1.0, alg.n + 1)).astype(np.complex128)
+    direction = matrix_units(alg)[min(1, alg.dim - 1)]  # E_01, as row 0's cells come first; E_00 at n = 1
+    a, b = limit + direction, -direction
+    f_limit, f_step, fa, fb, f_zero, f_sum = images(np.stack([limit, limit + 1e-12 * direction, a, b, 0 * a, a + b]))
     jump = frobenius(f_step - f_limit) / max(1.0, frobenius(f_limit))
     additivity = max(frobenius(f_zero), frobenius(f_sum - fa - fb)) / max(1.0, frobenius(fa) + frobenius(fb))
 
@@ -162,29 +150,30 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
             gap = min(gap, float(np.min(frobenius(fxs[i : i + 16, None] - fxs[: i + 16])[distinct], initial=np.inf)))
         return gap
 
-    props = {
-        "continuous": {"holds": jump <= 1e-6, "worst": jump},
-        "injective": _hypothesis(
-            spec.equal_images, lambda w: frobenius(np.subtract(*images(np.stack(w)))), lambda v: v > 0, image_gap
-        ),
-        "commutativity_preserving": _hypothesis(
-            spec.commuting_pair, lambda w: commutator_gap(*images(np.stack(w))), lambda v: v <= 1e-9,
+    # per hypothesis: the measure of a witness, whether a value lets it hold, and the value on random probes
+    table = {
+        "injective": (lambda w: frobenius(np.subtract(*images(w))), lambda v: v > 0, image_gap),
+        "commutativity_preserving": (
+            lambda w: commutator_gap(*images(w)), lambda v: v <= 1e-9,
             lambda: check_commutativity_preserving(stacked, alg, pairs=budget, seed=seed, tol=1e-9).worst,
         ),
-        "spectrum_preserving": _hypothesis(
-            spec.spectrum_witness, lambda w: char_poly_gap(w[None], images(w[None]))[0], lambda v: v <= 1e-8,
+        "spectrum_preserving": (
+            lambda w: char_poly_gap(w, images(w))[0], lambda v: v <= 1e-8,
             lambda: check_char_poly_preserving(stacked, alg, samples=budget, seed=seed, tol=1e-8).worst,
         ),
-        "linear": {"holds": additivity <= 1e-10, "worst": additivity},
-        "jordan": {"holds": False, "worst": None},
-        "recovery_rejects": {"holds": True, "worst": None},
     }
+    props = {"continuous": {"holds": jump <= 1e-6, "worst": jump}}
+    for prop, (measure, holds, probes) in table.items():
+        value = measure(spec.witness) if prop == spec.violated_property and spec.witness is not None else None
+        worst = value if value is not None and not holds(value) else probes()
+        props[prop] = {"holds": bool(holds(worst)), "worst": float(worst)}
+    props |= {"linear": {"holds": additivity <= 1e-10, "worst": additivity},
+              "jordan": {"holds": False, "worst": None}, "recovery_rejects": {"holds": True, "worst": None}}
     if props["linear"]["holds"]:
-        m = algebra_map_from_function(alg, stacked)
-        check = is_jordan(m, samples=budget, seed=seed, tol=1e-9)
+        check = is_jordan(stacked, alg, samples=budget, seed=seed, tol=1e-9)
         props["jordan"] = {"holds": check.ok, "worst": check.worst}
         with suppress(NotJordanEmbedding):
-            recover_form(m)
+            recover_form(algebra_map_from_function(alg, stacked))
             props["recovery_rejects"]["holds"] = False
     parts = ",".join(str(k) for k in alg.parts)
     return {"name": name, "algebra": parts, "violated_property": spec.violated_property, "properties": props}

@@ -18,16 +18,16 @@ Probes are evaluated as stacks, behind one boundary (``_evaluator``): an
 AlgebraMap maps a (k, n, n) stack with one unchecked product, as every probe
 is built in its domain, and each image of a black box, which comes from
 outside, is checked for shape: a ``_StackEvaluator`` (every gallery map) maps
-a stack per call, any other box a matrix. An AlgebraMap named with another
-``algebra`` raises WrongAlgebra. ``apply_batch`` (and ``apply``) is the
-validated public entry; a map's unit images are read as one (d, n, n) stack,
-``unit_images``. ``unit_pair_residuals`` makes one pass over the products of
-all matrix-unit images, which an AlgebraMap runs once, on first use, as
-``unit_pairs``: ``is_jordan`` reads every pair's Jordan residual, which
-catches a one-unit error its random squares miss, the commutativity checker
-the commuting pairs' commutators. ``is_jordan`` draws its squares PROBE_CHUNK
-at a time in one generator call (``random_elements``), in the stream order of
-one draw at a time. Every sampled check, here and in ``preservers``, feeds its
+a stack per call, any other box a matrix. ``is_jordan`` and every checker take
+either: an AlgebraMap named with another ``algebra`` raises WrongAlgebra, a
+black box with none ValueError. ``apply_batch`` and ``apply`` validate their
+input. ``unit_pair_residuals`` is one pass over the products of all unit
+images (``unit_images``), run once per AlgebraMap, as ``unit_pairs``, and once
+per check of a black box (``_unit_pairs``): ``is_jordan`` reads every pair's
+Jordan residual, which catches a one-unit error its random squares miss, the
+commutativity checker the commuting pairs' commutators. ``is_jordan`` draws
+its squares PROBE_CHUNK at a time in one generator call (``random_elements``),
+in the stream order of one draw at a time. Every sampled check feeds its
 residual stacks to ``verdict``, which keeps the worst residual and the first
 four violations. A negative probe count raises ValueError before any draw.
 """
@@ -127,8 +127,7 @@ def _evaluator(m, algebra=None) -> tuple[BlockAlgebra, Callable[[np.ndarray], np
             raise WrongAlgebra(f"the map's domain is {m.domain.parts}, not {block_algebra(algebra).parts}")
         return m.domain, lambda xs: (m.domain.coords(xs) @ m.coefficients.T).reshape(xs.shape)
     if algebra is None:
-        raise ValueError("a black-box map needs an explicit algebra; is_jordan needs an AlgebraMap, "
-                         "which algebra_map_from_function builds")
+        raise ValueError("a black-box map needs an explicit algebra")
 
     def images(xs, fn=m.fn if isinstance(m, _StackEvaluator) else None):
         fxs = np.asarray([images(x, m) for x in xs] if fn is None else fn(xs), dtype=np.complex128)
@@ -137,6 +136,13 @@ def _evaluator(m, algebra=None) -> tuple[BlockAlgebra, Callable[[np.ndarray], np
         return fxs
 
     return block_algebra(algebra), images
+
+
+def _unit_pairs(m, algebra: BlockAlgebra, images) -> UnitPairs:
+    """An AlgebraMap's cached ``unit_pairs``, else one pass over a black box's unit images."""
+    if isinstance(m, AlgebraMap):
+        return m.unit_pairs
+    return unit_pair_residuals(algebra, images(matrix_units(algebra)))
 
 
 def algebra_map_from_function(algebra, fn: Callable[[np.ndarray], np.ndarray]) -> AlgebraMap:
@@ -277,24 +283,27 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     return UnitPairs(jordan, p[commuting], q[commuting], commutator[commuting])
 
 
-def is_jordan(m: AlgebraMap, samples: int = 40, seed=0, tol: float = 1e-8) -> CheckResult:
+def is_jordan(m, algebra=None, *, samples: int = 40, seed=0, tol: float = 1e-8) -> CheckResult:
     """Check the symmetric-product identity exhaustively on matrix-unit pairs and the square
-    identity on random elements. No witnesses are kept; a negative ``samples`` raises
-    ValueError. ``samples=0`` checks the unit pairs alone, which decide a linear map
-    exactly, as both sides are bilinear. The squares do too by polarization, but not in
-    floating point: with one entry of one unit image off by 1e-7 of its norm (unitary T; 30
-    maps each on (4,4,4,4), (1,)*16, (16,)), 40 squares passed all 90, 20 of which recovery
-    rejects; the unit pairs reject all 90, even at 2e-8."""
+    identity on random elements, of a map taken as the checkers take it. No witnesses are
+    kept; a negative ``samples`` raises ValueError. ``samples=0`` checks the unit pairs alone,
+    which decide a linear map exactly, as both sides are bilinear. The squares do too by
+    polarization, but not in floating point: with one entry of one unit image off by 1e-7 of
+    its norm (unitary T; 30 maps each on (4,4,4,4), (1,)*16, (16,)), 40 squares passed all 90,
+    20 of which recovery rejects; the unit pairs reject all 90, even at 2e-8."""
     _nonnegative(samples=samples)
+    alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
-    _, images = _evaluator(m)
 
     def squares(xs):
         fx = images(xs)
         return frobenius(images(xs @ xs) - fx @ fx) / np.maximum(1.0, frobenius(xs) ** 2)
 
-    stacks = (random_elements(m.domain, rng, min(PROBE_CHUNK, samples - lo)) for lo in range(0, samples, PROBE_CHUNK))
-    return verdict(itertools.chain([(m.unit_pairs.jordan, None)], ((squares(xs), None) for xs in stacks)), tol)
+    def unit_batch():  # lazy, so a black box's unit images are mapped under verdict's error state
+        yield _unit_pairs(m, alg, images).jordan, None
+
+    stacks = (random_elements(alg, rng, min(PROBE_CHUNK, samples - lo)) for lo in range(0, samples, PROBE_CHUNK))
+    return verdict(itertools.chain(unit_batch(), ((squares(xs), None) for xs in stacks)), tol)
 
 
 def _unit_gaps(m: AlgebraMap, orientation: Orientation, t, tinv, cells: slice = slice(None)) -> np.ndarray:

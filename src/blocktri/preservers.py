@@ -1,7 +1,7 @@
 """Executable preserver properties: spectrum, shrinking, commutativity, multiplicity.
 
-Checkers accept either an AlgebraMap or a black-box evaluator (the gallery
-maps are nonlinear), sample deterministically from a seed, and report a
+Checkers, like ``maps.is_jordan``, accept either an AlgebraMap or a black-box
+evaluator with its algebra (the gallery maps are nonlinear), sample deterministically from a seed, and report a
 verdict with the worst violation and offending witnesses. Spectrum equality
 is tested through characteristic-polynomial coefficients, which sidesteps
 matching noisy eigenvalue lists.
@@ -16,12 +16,12 @@ multiple of PROBE_CHUNK of a stream, since a stacked product's rows can round
 differently with the stack size. Images come from ``maps._evaluator``: a
 black-box evaluator is called once per probe or, if it maps whole stacks (a
 ``maps._StackEvaluator``, as the gallery's maps are), once per stack, and
-each image must be n x n. The commuting unit pairs come from ``unit_pairs``
-or a pass over a black box's unit images. The char polys of the fixed probes 0, I and
-the matrix units are known exactly, so only their images' are computed. A
-probe whose image or residual is not finite is a violation, and the worst
-is inf. A negative ``samples``, ``pairs`` or ``budget`` raises ValueError,
-and an AlgebraMap given with an algebra other than its domain WrongAlgebra.
+each image must be n x n. The commuting unit pairs come from
+``maps._unit_pairs``, as ``is_jordan``'s do. The char polys of the fixed
+probes 0, I and the matrix units are known exactly, so only their images'
+are computed. A probe whose image or residual is not finite is a violation,
+and the worst is inf. A negative ``samples``, ``pairs`` or ``budget`` raises
+ValueError, and an AlgebraMap given with a foreign algebra WrongAlgebra.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, matrix_units, random_commuting_pairs, random_element, random_elements
 from .linalg import char_poly, eigenvalues, frobenius, identity, inverse, spectral_norm
-from .maps import PROBE_CHUNK, AlgebraMap, CheckResult, _evaluator, _nonnegative, unit_pair_residuals, verdict
+from .maps import PROBE_CHUNK, CheckResult, _evaluator, _nonnegative, _unit_pairs, verdict
 
 MULTIPLICITY_CLUSTER_TOL = 1e-6
 
@@ -157,7 +157,7 @@ def check_commutativity_preserving(
     units = matrix_units(alg)
 
     def unit_batch():
-        unit_pairs = m.unit_pairs if isinstance(m, AlgebraMap) else unit_pair_residuals(alg, images(units))
+        unit_pairs = _unit_pairs(m, alg, images)
         yield unit_pairs.commutator, lambda i: (units[unit_pairs.p[i]], units[unit_pairs.q[i]])
 
     drawn = (random_commuting_pairs(alg, rng, min(PROBE_CHUNK, pairs - lo)) for lo in range(0, pairs, PROBE_CHUNK))

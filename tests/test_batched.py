@@ -345,7 +345,7 @@ class TestUnitPairPass:
 class TestUnitPairCache:
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Every run of the unit-pair pass, from either module."""
+        """Every run of the unit-pair pass, which lives in ``maps`` alone."""
         calls = []
 
         def counted(algebra, images):
@@ -353,7 +353,6 @@ class TestUnitPairCache:
             return unit_pair_residuals(algebra, images)
 
         monkeypatch.setattr(maps, "unit_pair_residuals", counted)
-        monkeypatch.setattr(preservers, "unit_pair_residuals", counted)
         return calls
 
     def test_once_per_map(self, rng, passes):
@@ -570,6 +569,17 @@ class TestNonFinite:
         assert not (report.spectrum_preserving or report.spectrum_shrinking or report.commutativity_preserving)
         assert report.worst_violation == np.inf
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["per-matrix", "stack"])
+    @pytest.mark.parametrize("fn", [lambda x: 1e200 * x, lambda x: (x * 1e300) * 1e300], ids=["products", "images"])
+    def test_is_jordan_on_a_black_box(self, stacked, fn):
+        # whether the products of the images overflow or the images themselves, the unit
+        # pass and the squares run under verdict's error state: worst inf, no warning
+        black_box = maps._StackEvaluator(fn) if stacked else fn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = is_jordan(black_box, block_algebra((1, 2)))
+        assert not check.ok and check.worst == np.inf
+
     def test_recovery_rejects(self, overflowing_map):
         with np.errstate(all="ignore"), pytest.raises(NotJordanEmbedding):
             recover_form(overflowing_map)
@@ -666,7 +676,8 @@ class TestEvaluationBoundary:
             assert check(m, (1, 2)) is not None  # its own domain, given explicitly, is accepted
 
     def test_is_jordan_on_a_black_box_names_algebra_map(self):
-        with pytest.raises(ValueError, match="is_jordan needs an AlgebraMap"):
+        # is_jordan takes a black box with its algebra, as every checker does
+        with pytest.raises(ValueError, match="^a black-box map needs an explicit algebra$"):
             is_jordan(lambda x: x)
 
     def test_checkers_do_not_revalidate_probes(self, monkeypatch, rng):

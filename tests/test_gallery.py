@@ -287,11 +287,13 @@ class TestGallerySuites:
             run_gallery_suite(name, budget=budget, seed=0)
             counts.append(len(calls))
         # 217-420 with one call per probe; a two-matrix witness is one call, and so is
-        # materializing a linear map (block_projection) from its unit images
-        assert counts[0] == {"mobius_contraction": 12, "det_twist": 7, "eigen_swap": 15, "block_projection": 16}[name]
-        # two more chunks: at most one call per chunk for the char-poly probes
-        # and two (one per side) for the commuting pairs
-        assert counts[1] - counts[0] <= 2 * 3
+        # materializing a linear map (block_projection) from its unit images; is_jordan on
+        # the linear map adds one call for its unit stack and two per chunk of squares
+        assert counts[0] == {"mobius_contraction": 12, "det_twist": 7, "eigen_swap": 15, "block_projection": 25}[name]
+        # two more chunks: one call per chunk for the char-poly probes (left out where a witness
+        # refutes spectrum), two (one per side) for the commuting pairs and two for is_jordan's squares
+        deltas = {"mobius_contraction": 4, "det_twist": 2, "eigen_swap": 6, "block_projection": 10}
+        assert counts[1] - counts[0] == deltas[name]
 
     @pytest.mark.parametrize("name", list(GALLERY))
     def test_suite_runs(self, name):
@@ -344,12 +346,13 @@ class TestGallerySuites:
             assert props["jordan"]["holds"] is False or props["recovery_rejects"]["holds"] is True
 
     @pytest.mark.parametrize("budget", [0, 5, 100])
-    @pytest.mark.parametrize("parts", [(1, 2), (1, 1, 1)])
+    @pytest.mark.parametrize("parts", [(1, 2), (1, 1, 1), (1, 1), (2, 2), (4, 4, 4, 4), (1,)])
     @pytest.mark.parametrize("transposed", [False, True], ids=["inner", "transpose"])
     def test_jordan_maps_satisfy_everything(self, monkeypatch, transposed, parts, budget):
         # the paper's positive direction: X -> T X T^-1 and X -> T X^t T^-1 keep all
-        # four hypotheses, are linear Jordan maps, and recovery accepts them
-        t = np.eye(3) + 0.3 * gaussian(np.random.default_rng(7), 3)
+        # four hypotheses, are linear Jordan maps, and recovery accepts them, at any n
+        n = sum(parts)
+        t = np.eye(n) + 0.3 * gaussian(np.random.default_rng(7), n)
         t_inv = np.linalg.inv(t)
         flip = (lambda x: np.swapaxes(x, -1, -2)) if transposed else (lambda x: x)
         spec = CounterexampleSpec("similarity", block_algebra(parts), lambda x: t @ flip(x) @ t_inv, None)

@@ -9,6 +9,7 @@ from blocktri import (
     JordanForm,
     NotJordanEmbedding,
     Orientation,
+    apply,
     block_algebra,
     build_form_map,
     check_char_poly_preserving,
@@ -175,6 +176,14 @@ class TestDetectionPower:
         algebra = block_algebra(parts)
         assert not check_char_poly_preserving(fn, algebra, samples=10).ok
         assert not check_spectrum_shrinking(fn, algebra, samples=10).ok
+        assert not is_jordan(fn, algebra, samples=10).ok
+
+    @pytest.mark.parametrize("family", ["control", "noise", "rank_one", "scaled"])
+    def test_is_jordan_agrees_on_a_black_box(self, parts, orientation, family):
+        # the same map as an AlgebraMap and as a per-matrix black box gets the same verdict
+        families = dict(detection_families(parts, orientation), control=detection_control(parts, orientation))
+        m = families[family]
+        assert is_jordan(lambda x: apply(m, x), m.domain, samples=10).ok is is_jordan(m, samples=10).ok
 
 
 class TestCommutativityPreserving:
