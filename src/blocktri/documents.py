@@ -59,12 +59,12 @@ def _grid_from_document(rows: list, cols: int, row_error: str) -> np.ndarray:
                 else:
                     if np.all(np.isfinite(flat)):
                         return flat.view(np.complex128).reshape(len(rows), cols)
-    out = np.empty((len(rows), cols), dtype=np.complex128)
-    for r, row in enumerate(rows):
+    decoded = []  # every row checked and decoded before any array is allocated
+    for row in rows:
         if not isinstance(row, list) or len(row) != cols:
             raise InvalidDocument(row_error)
-        out[r] = [_from_pair(pair) for pair in row]
-    return out
+        decoded.append([_from_pair(pair) for pair in row])
+    return np.array(decoded, dtype=np.complex128).reshape(len(rows), cols)
 
 
 def matrix_to_document(m: np.ndarray) -> dict:

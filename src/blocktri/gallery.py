@@ -9,14 +9,14 @@ n: the four hypotheses, ``linear``, ``jordan`` and ``recovery_rejects``. Continu
 linearity are tested at L = diag(1, ..., n) and E_01 (E_00 at n = 1). A spec carries at most one
 witness, a stack of inputs checked first against its violated property; seeded random
 probes decide every hypothesis no witness refutes. ``jordan`` is ``is_jordan`` on the map
-itself.
+itself, and a form recovered from its unit images must also meet it on random members.
 
 Every map takes one matrix or a (..., n, n) stack, bit for bit the same per matrix. The
 suite reads its map only through ``maps._evaluator``, as a ``_StackEvaluator``, so every
 image is checked for shape: one call maps its six continuity and additivity inputs, one the
 witness, one all its injectivity draws, and, for a linear map, two its matrix units (for
-``is_jordan`` and for recovery); the checks call it once per stack of probes, twice for a
-pair or a square.
+``is_jordan`` and for recovery) and one the recovery members; the checks call it once per
+stack of probes, twice for a pair or a square.
 """
 
 import cmath
@@ -29,7 +29,8 @@ import numpy as np
 from .algebra import BlockAlgebra, block_algebra, matrix_units, random_elements
 from .errors import NotFinite, NotJordanEmbedding
 from .linalg import char_poly, frobenius, identity, inverse, spectral_norm
-from .maps import _evaluator, _nonnegative, _StackEvaluator, algebra_map_from_function, is_jordan, recover_form
+from .maps import VERIFY_REL, _evaluator, _nonnegative, _StackEvaluator, algebra_map_from_function, apply_batch
+from .maps import build_form_map, is_jordan, recover_form
 from .preservers import char_poly_gap, check_char_poly_preserving, check_commutativity_preserving, commutator_gap
 
 
@@ -139,10 +140,10 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
     f_limit, f_step, fa, fb, f_zero, f_sum = images(np.stack([limit, limit + 1e-12 * direction, a, b, 0 * a, a + b]))
     jump = frobenius(f_step - f_limit) / max(1.0, frobenius(f_limit))
     additivity = max(frobenius(f_zero), frobenius(f_sum - fa - fb)) / max(1.0, frobenius(fa) + frobenius(fb))
+    xs = random_elements(alg, seed, budget)  # the injectivity draws, and the members a recovered form must meet
 
     def image_gap() -> float:
         """The smallest image distance over all pairs of distinct random inputs, each evaluated once."""
-        xs = random_elements(alg, seed, budget)
         fxs = images(xs)
         gap = np.inf
         for i in range(0, budget, 16):  # a block of 16 draws against every draw up to its end
@@ -173,7 +174,9 @@ def run_gallery_suite(name: str, budget: int = 100, seed=0) -> dict:
         check = is_jordan(stacked, alg, samples=budget, seed=seed, tol=1e-9)
         props["jordan"] = {"holds": check.ok, "worst": check.worst}
         with suppress(NotJordanEmbedding):
-            recover_form(algebra_map_from_function(alg, stacked))
-            props["recovery_rejects"]["holds"] = False
+            form = recover_form(algebra_map_from_function(alg, stacked))
+            fxs = images(xs)
+            gaps = frobenius(fxs - apply_batch(build_form_map(alg, form), xs)) / np.maximum(1.0, frobenius(fxs))
+            props["recovery_rejects"]["holds"] = not np.all(gaps <= VERIFY_REL)
     parts = ",".join(str(k) for k in alg.parts)
     return {"name": name, "algebra": parts, "violated_property": spec.violated_property, "properties": props}

@@ -1,6 +1,7 @@
 """JSON document schemas and the command-line contract."""
 
 import json
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -540,6 +541,26 @@ class TestEnvelope:
         assert captured.out == ""
         assert f"argument --seed: must be a non-negative integer, got {seed!r}" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_ragged_matrix_document_allocates_nothing(self, tmp_path, capsys):
+        # 1.2 MB of text claiming n = 300000: the rows are checked before any n x n array
+        # exists, so the command neither allocates 1.3 TiB nor exits with a traceback
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 300000, "entries": [[]] * 300000}), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["diagonalize", "1,2", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "diagonalize: entries do not form an n x n grid\n"
+        assert "Traceback" not in captured.err
+        assert peak < 2**28, peak
+        # a well-formed grid above n = 16 still reaches the shape check
+        path.write_text(json.dumps({"n": 17, "entries": [[[0, 0]] * 17] * 17}), encoding="utf-8")
+        assert main(["diagonalize", "1,2", str(path)]) == 6
 
     # float() alone reads the last three as 1e-8
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "-0.0", "abc", "1e999", "1_0e-9", " 1e-8", "١e-8"])

@@ -361,3 +361,21 @@ class TestGallerySuites:
         for prop in HYPOTHESES + ("linear", "jordan"):
             assert props[prop]["holds"] is True, prop
         assert props["recovery_rejects"]["holds"] is False
+
+    @pytest.mark.parametrize("budget", [1, 5, 100])
+    def test_corner_map_is_not_jordan(self, monkeypatch, budget):
+        # X -> X + x01 x12 E02 is additive on the suite's inputs and fixes every matrix unit,
+        # so only the map itself, not the linear map its unit images define, refutes it
+        def corner(x):
+            y = x.copy()
+            y[..., 0, 2] += x[..., 0, 1] * x[..., 1, 2]
+            return y
+
+        spec = CounterexampleSpec("corner", block_algebra((1, 1, 1)), corner, None)
+        monkeypatch.setitem(GALLERY, spec.name, spec)
+        props = run_gallery_suite(spec.name, budget=budget, seed=0)["properties"]
+        assert props["linear"]["holds"] is True
+        assert props["jordan"]["holds"] is False
+        assert props["recovery_rejects"]["holds"] is True
+        if budget >= 5:
+            assert props["commutativity_preserving"]["holds"] is False
