@@ -273,4 +273,5 @@ def random_commuting_pairs(algebra: BlockAlgebra, seed, k: int) -> tuple[np.ndar
     z = rng.standard_normal((k, 2 * d + 4 * n))
     x = algebra.scatter(_gaussian(z[:, : 2 * d]))
     coeffs = _gaussian(z[:, 2 * d :].reshape(k, 2, 2 * n))  # degree <= n - 1, so n coefficients each
-    return matrix_poly(x, coeffs[:, 0]), matrix_poly(x, coeffs[:, 1])
+    pq = matrix_poly(np.broadcast_to(x[:, None], (k, 2, n, n)), coeffs)  # p and q in one Horner chain
+    return pq[:, 0], pq[:, 1]

@@ -248,9 +248,10 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     is multiplied by every phi(E_q), q >= p, in chunks of PROBE_CHUNK; the
     same products give the commutator (kept for commuting units) and the
     symmetric-product residual against phi(E_p o E_q), o denoting a b + b a. Most
-    targets E_p o E_q are zero (all but 1,240 of 12,880 pairs at (4,4,4,4)),
+    targets E_p o E_q are zero (all but 1,256 of 12,880 pairs at (4,4,4,4)),
     and subtracting an exact zero changes no modulus, so a chunk subtracts
-    a target only from its pairs whose target is nonzero.
+    a target only from its pairs whose target is nonzero, and a chunk with
+    none skips the gather.
     """
     d, n = algebra.dim, algebra.n
     rows, cols = algebra.cell_rows, algebra.cell_cols
@@ -275,9 +276,10 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
             ba = images[lo:hi] @ images[u]
             sym = ab + ba
             k = np.flatnonzero(targeted[sl])
-            sym[k] -= padded[left[sl][k]] + padded[right[sl][k]]
+            if k.size:
+                sym[k] -= padded[left[sl][k]] + padded[right[sl][k]]
             scale = np.maximum(1.0, norms[u] * norms[lo:hi])
-            jordan[sl] = np.max(np.abs(sym), axis=(1, 2)) / scale
+            jordan[sl] = np.max(np.abs(sym).reshape(hi - lo, n * n), axis=1) / scale
             commutator[sl] = frobenius(ab - ba) / scale
     commuting = left == right  # E_p E_q = E_q E_p
     return UnitPairs(jordan, p[commuting], q[commuting], commutator[commuting])

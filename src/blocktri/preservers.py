@@ -7,21 +7,23 @@ is tested through characteristic-polynomial coefficients, which sidesteps
 matching noisy eigenvalue lists.
 
 Every check is one stream of probe stacks, PROBE_CHUNK probes each but the
-last, fed to ``maps.verdict``. A probe source yields whole stacks and draws
-each stack's random members from the seed only when that stack is due, with
-one generator call (``random_elements``, ``random_commuting_pairs``; the
-stream is the same as one draw at a time). The multiplicity samples are drawn
-one at a time but built a stack at a time. Stack boundaries sit at every
-multiple of PROBE_CHUNK of a stream, since a stacked product's rows can round
-differently with the stack size. Images come from ``maps._evaluator``: a
-black-box evaluator is called once per probe or, if it maps whole stacks (a
-``maps._StackEvaluator``, as the gallery's maps are), once per stack, and
-each image must be n x n. The commuting unit pairs come from
-``maps._unit_pairs``, as ``is_jordan``'s do. The char polys of the fixed
-probes 0, I and the matrix units are known exactly, so only their images'
-are computed. A probe whose image or residual is not finite is a violation,
-and the worst is inf. A negative ``samples``, ``pairs`` or ``budget`` raises
-ValueError, and an AlgebraMap given with a foreign algebra WrongAlgebra.
+last, fed to ``maps.verdict``. A probe source yields whole stacks, each with
+what it knows of its members, and draws each stack's random members from the
+seed only when that stack is due, with one generator call
+(``random_elements``, ``random_commuting_pairs``; the stream is the same as
+one draw at a time). The multiplicity samples are drawn one at a time but
+built a stack at a time. Stack boundaries sit at every multiple of
+PROBE_CHUNK of a stream, since a stacked product's rows can round differently
+with the stack size. Images come from ``maps._evaluator``: a black-box
+evaluator is called once per probe or, if it maps whole stacks (a
+``maps._StackEvaluator``, as the gallery's maps are), once per stack, and each
+image must be n x n. The commuting unit pairs come from ``maps._unit_pairs``,
+as ``is_jordan``'s do. The char polys of the fixed probes 0, I and the matrix
+units, and the eigenvalues of a multiplicity sample, with its collision
+exact, are known, so only their images' are computed. A probe whose image or
+residual is not finite is a violation, and the worst is inf. A negative
+``samples``, ``pairs`` or ``budget`` raises ValueError, and an AlgebraMap
+given with a foreign algebra WrongAlgebra.
 """
 
 from __future__ import annotations
@@ -65,29 +67,33 @@ def _fixed_char_polys(algebra: BlockAlgebra) -> np.ndarray:
     return polys
 
 
-def _probe_stacks(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.ndarray]:
-    """0, I, the matrix units, then ``samples`` random elements, in stacks of
-    PROBE_CHUNK; each stack's random members are drawn when it is due."""
+def _probe_stacks(algebra: BlockAlgebra, samples: int, rng) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """0, I, the matrix units, then ``samples`` random elements, in stacks of PROBE_CHUNK with
+    their fixed members' char polys; each stack's random members are drawn when it is due."""
     n = algebra.n
     fixed = np.concatenate([np.zeros((1, n, n), dtype=np.complex128), identity(n)[None], matrix_units(algebra)])
+    polys = _fixed_char_polys(algebra)
     total = len(fixed) + samples
     for lo in range(0, total, PROBE_CHUNK):
         head = fixed[lo : lo + PROBE_CHUNK]
         draws = min(PROBE_CHUNK, total - lo) - len(head)
-        yield np.concatenate([head, random_elements(algebra, rng, draws)]) if draws else head
+        stack = np.concatenate([head, random_elements(algebra, rng, draws)]) if draws else head
+        yield stack, polys[lo : lo + PROBE_CHUNK]
 
 
-def _check(stacks: Iterator[np.ndarray], images, residual, tol: float) -> CheckResult:
-    """Map each probe stack A and stream ``residual(A, F(A))``; the first four
-    violating probes are the witnesses. A probe whose image is not finite is
-    a violation with residual inf: the residual sees a zero image in its row."""
+def _check(stacks: Iterator[tuple[np.ndarray, np.ndarray]], images, residual, tol: float) -> CheckResult:
+    """Map each probe stack A, yielded with what its source knows of it, and stream
+    ``residual(A, F(A), known)``; the first four violating probes are the witnesses. A
+    probe whose image is not finite is a violation with residual inf: the residual sees a zero image."""
 
-    def residuals(a):
+    def residuals(a, known):
         fa = images(a)
         finite = np.isfinite(fa).all(axis=(1, 2))
-        return np.where(finite, residual(a, np.where(finite[:, None, None], fa, 0)), np.inf)
+        if finite.all():
+            return residual(a, fa, known)
+        return np.where(finite, residual(a, np.where(finite[:, None, None], fa, 0), known), np.inf)
 
-    return verdict(((residuals(a), lambda i: a[i].copy()) for a in stacks), tol)
+    return verdict(((residuals(a, known), lambda i: a[i].copy()) for a, known in stacks), tol)
 
 
 def char_poly_gap(a: np.ndarray, fa: np.ndarray, pa=()) -> np.ndarray:
@@ -120,9 +126,7 @@ def check_char_poly_preserving(
     _nonnegative(samples=samples)
     alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
-    fixed = _fixed_char_polys(alg)
-    known = iter(np.split(fixed, range(PROBE_CHUNK, len(fixed), PROBE_CHUNK)))  # the fixed part of each stack
-    return _check(_probe_stacks(alg, samples, rng), images, lambda a, fa: char_poly_gap(a, fa, next(known, ())), tol)
+    return _check(_probe_stacks(alg, samples, rng), images, char_poly_gap, tol)
 
 
 def check_spectrum_shrinking(
@@ -133,7 +137,7 @@ def check_spectrum_shrinking(
     alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)
 
-    def residual(a, fa):
+    def residual(a, fa, _):
         lam_in = eigenvalues(a)
         lam_out = eigenvalues(fa)
         gap = np.max(np.min(np.abs(lam_out[:, :, None] - lam_in[:, None, :]), axis=2), axis=1)
@@ -186,8 +190,9 @@ def _multiset_match(lam_a: np.ndarray, lam_b: np.ndarray) -> np.ndarray:
     return worst
 
 
-def _degenerate_samples(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np.ndarray]:
-    """Conjugated diagonals with a forced collision, at unit spectral norm.
+def _degenerate_samples(algebra: BlockAlgebra, samples: int, rng) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Conjugated diagonals T D T^-1 with a forced collision, at unit spectral norm, each
+    stack with its (k, n) spectra: diag(D) over the same norm, the collision exact.
 
     Drawn one sample at a time: ``rng.choice`` takes its draws between each
     sample's diagonal and its random element, so a chunked draw would change
@@ -208,7 +213,8 @@ def _degenerate_samples(algebra: BlockAlgebra, samples: int, rng) -> Iterator[np
             g[k] = random_element(algebra, rng)
         t = identity(n) + g / (2.0 * np.maximum(spectral_norm(g), 1e-12))[:, None, None]
         a = t @ bases @ inverse(t)
-        yield a / np.maximum(spectral_norm(a), 1e-12)[:, None, None]
+        norm = np.maximum(spectral_norm(a), 1e-12)
+        yield a / norm[:, None, None], np.diagonal(bases, axis1=1, axis2=2) / norm[:, None]
 
 
 def check_multiplicity_preserving(
@@ -217,8 +223,9 @@ def check_multiplicity_preserving(
     """Eigenvalue multisets must match on deliberately degenerate inputs.
 
     Samples are conjugated diagonals with collisions, normalized to unit
-    spectral norm; multisets are compared with an absolute clustering
-    tolerance of 1e-6.
+    spectral norm. A sample's multiset is the one it was built with, whose
+    collision is exact; only the images' eigenvalues are computed. Multisets
+    are compared with an absolute clustering tolerance of 1e-6.
     """
     _nonnegative(samples=samples)
     alg, images = _evaluator(m, algebra)
@@ -226,7 +233,7 @@ def check_multiplicity_preserving(
     return _check(
         _degenerate_samples(alg, samples, rng),
         images,
-        lambda a, fa: _multiset_match(eigenvalues(a), eigenvalues(fa)),
+        lambda a, fa, spectra: _multiset_match(spectra, eigenvalues(fa)),
         MULTIPLICITY_CLUSTER_TOL,
     )
 

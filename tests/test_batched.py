@@ -310,10 +310,11 @@ class TestUnitPairPass:
         assert np.array_equal(units.jordan <= 1e-8, jordan <= 1e-8)
         assert np.all(units.jordan <= 1e-8) == (noise == 0.0)
 
-    @pytest.mark.parametrize("parts", [(1, 2), (2, 3, 3), (4, 4, 4, 4)])
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 3, 3), (4, 4, 4, 4), (16,), (1,) * 16])
     @pytest.mark.parametrize("noise, inf_coefficient", [(0.0, False), (1e-3, False), (0.0, True)])
     def test_bit_identical_to_full_gather(self, rng, parts, noise, inf_coefficient):
-        # skipping the zero targets' gather and subtraction moves no bit
+        # skipping the zero targets' gather and subtraction, and whole chunks
+        # with no target, moves no bit
         m = form_map(parts, rng, noise=noise)
         if inf_coefficient:
             c = np.array(m.coefficients)
@@ -425,10 +426,37 @@ class TestDegenerateSamples:
         alg = block_algebra(parts)
         ref_rng, rng = np.random.default_rng(samples), np.random.default_rng(samples)
         want = reference_degenerate_samples(alg, samples, ref_rng)
-        got = [a for stack in preservers._degenerate_samples(alg, samples, rng) for a in stack]
+        got = [a for stack, _ in preservers._degenerate_samples(alg, samples, rng) for a in stack]
         assert len(got) == samples
         assert all(same_bits(g, w) for g, w in zip(got, want))
         assert ref_rng.standard_normal() == rng.standard_normal()  # the generator is left where it was
+
+    @pytest.mark.parametrize(
+        "parts", [(1,), (1, 2), (2, 3, 3), (4, 4, 4, 4), (16,), (1,) * 16], ids=lambda p: ",".join(map(str, p))
+    )
+    @pytest.mark.parametrize("samples", [0, 1, 33, 50])
+    def test_carried_spectra_are_the_samples(self, parts, samples):
+        # the multisets a stack is built with are its samples' eigenvalues
+        alg = block_algebra(parts)
+        seen = 0
+        for stack, spectra in preservers._degenerate_samples(alg, samples, np.random.default_rng(samples)):
+            assert spectra.shape == stack.shape[:2]
+            assert np.all(_multiset_match(spectra, eigenvalues(stack)) <= 1e-12)
+            seen += len(stack)
+        assert seen == samples
+
+    def test_only_images_go_to_lapack(self, rng, monkeypatch):
+        # one eigenvalue call per stack of images; none for the samples themselves
+        m = form_map((2, 3, 3), rng)
+        calls = []
+
+        def counted(a):
+            calls.append(len(a))
+            return eigenvalues(a)
+
+        monkeypatch.setattr(preservers, "eigenvalues", counted)
+        assert check_multiplicity_preserving(m, samples=50).ok
+        assert calls == [PROBE_CHUNK, 50 - PROBE_CHUNK]
 
 
 class TestProbeStacks:
