@@ -25,7 +25,13 @@ input. ``unit_pair_residuals`` is one pass over the products of all unit
 images (``unit_images``), run once per AlgebraMap, as ``unit_pairs``, and once
 per check of a black box (``_unit_pairs``): ``is_jordan`` reads every pair's
 Jordan residual, which catches a one-unit error its random squares miss, the
-commutativity checker the commuting pairs' commutators. ``is_jordan`` draws
+commutativity checker the commuting pairs' commutators. The pass multiplies
+out only the pairs its rank-one screen (``_pair_bounds``) cannot clear: a
+cleared pair has a zero target and reports, as both its residuals, a bound
+of at most UNIT_PAIR_SCREEN = 1e-12 on what its products would give. That
+constant is below every default tol and 70x above any bound seen on an exact
+map, so exact maps skip about 90 % of the products, and a tol below it can
+only make a unit-pair verdict stricter. ``is_jordan`` draws
 its squares PROBE_CHUNK at a time in one generator call (``random_elements``),
 in the stream order of one draw at a time. Every sampled check feeds its
 residual stacks to ``verdict``, which keeps the worst residual and the first
@@ -55,6 +61,7 @@ from .linalg import as_matrix, as_stack, frobenius, inverse
 
 VERIFY_REL = 1e-7  # largest relative unit-image gap a recovered form may leave
 PROBE_CHUNK = 32  # matrices per stacked evaluation; bounds every probe loop's memory
+UNIT_PAIR_SCREEN = 1e-12  # largest scaled bound a zero-target unit pair is cleared on, unmultiplied
 
 
 class Orientation(enum.Enum):
@@ -232,7 +239,9 @@ def verdict(batches: Iterable[tuple[np.ndarray, Callable[[int], object] | None]]
 
 
 class UnitPairs(NamedTuple):
-    """The unit-pair pass, one part per reader, in row-major order of the pairs (E_p, E_q), q >= p."""
+    """The unit-pair pass, one part per reader, in row-major order of the pairs (E_p, E_q), q >= p.
+    A pair the screen cleared reports its bound, at most UNIT_PAIR_SCREEN and never less than its
+    products would give, as both its Jordan residual and its commutator."""
 
     jordan: np.ndarray  # every pair, for is_jordan: max |phi(E_p) o phi(E_q) - phi(E_p o E_q)| / scale
     p: np.ndarray  # p, q and commutator: the commuting pairs, for check_commutativity_preserving
@@ -240,18 +249,80 @@ class UnitPairs(NamedTuple):
     commutator: np.ndarray  # ||[phi(E_p), phi(E_q)]||_F / scale, scale = max(1, |phi(E_p)| |phi(E_q)|)
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    u = np.finfo(np.float64).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _pair_bounds(images: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """For each pair (p, q), a bound on ||fl(U_p U_q)||_F + ||fl(U_q U_p)||_F,
+    the computed products of the unit images U = phi(E), so on the pass's
+    residuals, before scaling, of a pair whose target is zero.
+
+    Each image is a rank-one skeleton plus a remainder, U_p = x_p y_p^t + R_p,
+    pivoted on its largest-modulus entry (i, j): x_p is column j, y_p is row i
+    over that entry, and rho_p = ||R_p||_F is taken from R_p itself (a zero
+    image has x = y = 0). With G = Y X^t and H = |Y| |X|^t,
+      ||U_p U_q||_F <= |G_pq| ||x_p|| ||y_q|| + ||x_p|| ||y_p|| rho_q
+                       + rho_p ||x_q|| ||y_q|| + rho_p rho_q,
+    and the roundings of the skeleton, of G and of the products themselves
+    add terms in H_pq and rho only (Higham, ch. 3: complex products and
+    inner products of length n within sqrt(2) gamma_2 and sqrt(2) gamma_{n+2}),
+    so images with exact zeros where their skeletons meet bound to exactly 0.
+    The factor ``slack`` covers the roundings of every norm, modulus and sum,
+    in the bound and in the residuals it bounds. That model of rounding needs
+    every nonzero entry's modulus within [1e-60, 1e60], where no step here or
+    in the products can overflow or lose a digit to underflow; a pair with an
+    image outside it, a non-finite one included, is bounded by inf.
+    """
+    d, n = images.shape[:2]
+    flat = images.reshape(d, n * n)
+    moduli = np.abs(flat)
+    tame = np.all((moduli == 0) | ((moduli >= 1e-60) & (moduli <= 1e60)), axis=1)
+    units = np.arange(d)
+    k = np.argmax(moduli, axis=1)
+    pivot = flat[units, k]
+    x = images[units, :, k % n]
+    y = images[units, k // n, :] / np.where(pivot == 0, 1.0, pivot)[:, None]
+    rho = np.empty(d)
+    for lo in range(0, d, PROBE_CHUNK):  # the remainders, a chunk at a time to bound memory
+        c = slice(lo, lo + PROBE_CHUNK)
+        rho[c] = frobenius(images[c] - x[c, :, None] * y[c, None, :])
+    nx, ny = frobenius(x[:, None]), frobenius(y[:, None])
+    mu, gc = np.sqrt(2) * _gamma(2), np.sqrt(2) * _gamma(n + 2)
+    c_h = 2 * gc * (1 + mu) ** 2 + 2 * mu + mu**2
+    c_r = 2 * (1 + mu) * (1 + gc)
+    slack = 1 + _gamma(4 * n * n + 64)
+    skeleton = np.abs(y @ x.T)  # d x d, updated in place
+    skeleton += c_h * (np.abs(y) @ np.abs(x).T)
+    skeleton *= nx[:, None]
+    skeleton *= ny
+    s = nx * ny
+    bound = slack * (skeleton[p, q] + skeleton[q, p] + c_r * (s[p] * rho[q] + rho[p] * s[q] + rho[p] * rho[q]))
+    return np.where(tame[p] & tame[q], bound, np.inf)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     """One pass over the products of all unit images, both orders.
 
-    ``images`` is the (d, n, n) stack of phi(E_p). For each unit p the image
-    is multiplied by every phi(E_q), q >= p, in chunks of PROBE_CHUNK; the
+    ``images`` is the (d, n, n) stack of phi(E_p). Most targets E_p o E_q
+    are zero (all but 1,256 of 12,880 pairs at (4,4,4,4)), o denoting
+    a b + b a. A Jordan embedding's unit images are rank one, and for a pair
+    with a zero target ``_pair_bounds`` bounds both residuals from one pair
+    of d x d Gram matrices; a pair whose bound, scaled, is at most
+    UNIT_PAIR_SCREEN is cleared: it reports that bound as its Jordan residual
+    and its commutator, never less than the products would give, so the
+    screen can make no verdict more lenient. Exact maps clear all their
+    zero-target pairs (bounds up to 1.4e-14, cond(T) 1 to 1e4, n <= 16),
+    noisy maps none. For each unit p the image is multiplied by every
+    phi(E_q), q >= p, whose pair is not cleared, PROBE_CHUNK at a time; the
     same products give the commutator (kept for commuting units) and the
-    symmetric-product residual against phi(E_p o E_q), o denoting a b + b a. Most
-    targets E_p o E_q are zero (all but 1,256 of 12,880 pairs at (4,4,4,4)),
-    and subtracting an exact zero changes no modulus, so a chunk subtracts
-    a target only from its pairs whose target is nonzero, and a chunk with
-    none skips the gather.
+    symmetric-product residual against phi(E_p o E_q). Subtracting an exact
+    zero changes no modulus, so a chunk subtracts a target only from its
+    pairs whose target is nonzero. A pair that is multiplied has the bits it
+    would have with no screen.
     """
     d, n = algebra.dim, algebra.n
     rows, cols = algebra.cell_rows, algebra.cell_cols
@@ -264,23 +335,27 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     targeted = (left >= 0) | (right >= 0)
     padded = np.concatenate([images, np.zeros((1, n, n), dtype=images.dtype)])
     norms = frobenius(images)
-    jordan = np.empty(p.size)
-    commutator = np.empty(p.size)
+    scale = np.maximum(1.0, norms[p] * norms[q])
+    jordan = _pair_bounds(images, p, q) / scale
+    cleared = ~targeted & (jordan <= UNIT_PAIR_SCREEN)
+    commutator = jordan.copy()
     start = 0
     for u in range(d):
-        for lo in range(u, d, PROBE_CHUNK):
-            hi = min(lo + PROBE_CHUNK, d)
-            sl = slice(start, start + hi - lo)
-            start += hi - lo
-            ab = images[u] @ images[lo:hi]
-            ba = images[lo:hi] @ images[u]
+        row = slice(start, start + d - u)  # the pairs (u, q), q >= u; row views write through
+        start = row.stop
+        todo = np.flatnonzero(~cleared[row])
+        whole = todo.size == d - u  # nothing cleared: partners are sliced, as with no screen
+        for lo in range(0, todo.size, PROBE_CHUNK):
+            k = slice(lo, lo + PROBE_CHUNK) if whole else todo[lo : lo + PROBE_CHUNK]
+            others = images[u:][k]
+            ab = images[u] @ others
+            ba = others @ images[u]
             sym = ab + ba
-            k = np.flatnonzero(targeted[sl])
-            if k.size:
-                sym[k] -= padded[left[sl][k]] + padded[right[sl][k]]
-            scale = np.maximum(1.0, norms[u] * norms[lo:hi])
-            jordan[sl] = np.max(np.abs(sym).reshape(hi - lo, n * n), axis=1) / scale
-            commutator[sl] = frobenius(ab - ba) / scale
+            t = np.flatnonzero(targeted[row][k])
+            if t.size:
+                sym[t] -= padded[left[row][k][t]] + padded[right[row][k][t]]
+            jordan[row][k] = np.max(np.abs(sym).reshape(len(others), n * n), axis=1) / scale[row][k]
+            commutator[row][k] = frobenius(ab - ba) / scale[row][k]
     commuting = left == right  # E_p E_q = E_q E_p
     return UnitPairs(jordan, p[commuting], q[commuting], commutator[commuting])
 
@@ -292,7 +367,9 @@ def is_jordan(m, algebra=None, *, samples: int = 40, seed=0, tol: float = 1e-8) 
     which decide a linear map exactly, as both sides are bilinear. The squares do too by
     polarization, but not in floating point: with one entry of one unit image off by 1e-7 of
     its norm (unitary T; 30 maps each on (4,4,4,4), (1,)*16, (16,)), 40 squares passed all 90,
-    20 of which recovery rejects; the unit pairs reject all 90, even at 2e-8."""
+    20 of which recovery rejects; the unit pairs reject all 90, even at 2e-8. A unit pair the
+    pass's screen clears reads its bound, at most UNIT_PAIR_SCREEN = 1e-12 and never below its
+    computed residual, so a ``tol`` under 1e-12 can only fail more pairs."""
     _nonnegative(samples=samples)
     alg, images = _evaluator(m, algebra)
     rng = np.random.default_rng(seed)

@@ -45,8 +45,9 @@ from blocktri import maps, preservers
 from blocktri.algebra import random_elements
 from blocktri.cli import main
 from blocktri.documents import canonical_json, map_to_document
+from blocktri.gallery import block_projection
 from blocktri.linalg import frobenius, identity
-from blocktri.maps import PROBE_CHUNK, unit_pair_residuals
+from blocktri.maps import PROBE_CHUNK, UNIT_PAIR_SCREEN, unit_pair_residuals
 from blocktri.preservers import _multiset_match
 
 from conftest import (
@@ -58,7 +59,10 @@ from conftest import (
     reference_commuting_pair,
     reference_degenerate_samples,
     reference_element,
+    detection_families,
+    jordan_map,
     same_bits,
+    shear_jordan_map,
 )
 
 
@@ -195,6 +199,21 @@ def reference_gather_unit_pairs(algebra, images):
     return p, q, left == right, jordan, commutator
 
 
+def screen_clears(algebra, images):
+    """The pairs, in the pass's order, that its screen clears, and the
+    commuting pairs: a cleared pair's target E_p o E_q is zero and its bound
+    over the pass's scale is at most UNIT_PAIR_SCREEN."""
+    rows, cols = algebra.cell_rows, algebra.cell_cols
+    p, q = np.triu_indices(algebra.dim)
+    zero_target = (cols[p] != rows[q]) & (cols[q] != rows[p])
+    norms = frobenius(images)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, norms[p] * norms[q])
+        bound = maps._pair_bounds(images, p, q) / scale
+    commuting = zero_target | ((p == q) & (rows[p] == cols[p]))  # E_p E_q = E_q E_p: both zero, or E_ii E_ii
+    return zero_target & (bound <= UNIT_PAIR_SCREEN), commuting
+
+
 def same_witnesses(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -305,16 +324,23 @@ class TestUnitPairPass:
         d = m.domain.dim
         assert units.jordan.size == d * (d + 1) // 2
         assert units.p.size == units.q.size == units.commutator.size == commutator.size
-        assert np.allclose(units.jordan, jordan, rtol=1e-9, atol=1e-15)
-        assert np.allclose(units.commutator, commutator, rtol=1e-9, atol=1e-15)
+        cleared, commuting = screen_clears(m.domain, m.unit_images())
+        kept, kept_commuting = ~cleared, ~cleared[commuting]
+        assert np.allclose(units.jordan[kept], jordan[kept], rtol=1e-9, atol=1e-15)
+        assert np.allclose(units.commutator[kept_commuting], commutator[kept_commuting], rtol=1e-9, atol=1e-15)
+        # a cleared pair reports its bound: never below what its products give, at most the screen's constant
+        assert np.all(jordan[cleared] <= units.jordan[cleared])
+        assert np.all(commutator[~kept_commuting] <= units.commutator[~kept_commuting])
+        assert np.all(units.jordan[cleared] <= UNIT_PAIR_SCREEN)
+        assert np.any(cleared) == (noise == 0.0)
         assert np.array_equal(units.jordan <= 1e-8, jordan <= 1e-8)
         assert np.all(units.jordan <= 1e-8) == (noise == 0.0)
 
     @pytest.mark.parametrize("parts", [(1, 2), (2, 3, 3), (4, 4, 4, 4), (16,), (1,) * 16])
     @pytest.mark.parametrize("noise, inf_coefficient", [(0.0, False), (1e-3, False), (0.0, True)])
     def test_bit_identical_to_full_gather(self, rng, parts, noise, inf_coefficient):
-        # skipping the zero targets' gather and subtraction, and whole chunks
-        # with no target, moves no bit
+        # skipping the zero targets' gather and subtraction, whole chunks with
+        # no target, and the pairs the screen clears moves no bit of any other pair
         m = form_map(parts, rng, noise=noise)
         if inf_coefficient:
             c = np.array(m.coefficients)
@@ -322,10 +348,20 @@ class TestUnitPairPass:
             m = AlgebraMap(m.domain, c)
         got = unit_pair_residuals(m.domain, m.unit_images())
         p, q, commuting, jordan, commutator = reference_gather_unit_pairs(m.domain, m.unit_images())
-        assert same_bits(got.jordan, jordan)
+        cleared, _ = screen_clears(m.domain, m.unit_images())
+        assert same_bits(got.jordan[~cleared], jordan[~cleared])
         # the commutativity checker's part is the reference's commuting slice
-        for g, w in zip((got.p, got.q, got.commutator), (p, q, commutator)):
-            assert same_bits(g, w[commuting])
+        assert same_bits(got.p, p[commuting]) and same_bits(got.q, q[commuting])
+        kept = ~cleared[commuting]
+        assert same_bits(got.commutator[kept], commutator[commuting][kept])
+        # every pair that differs is cleared: a zero target, reference <= got <= UNIT_PAIR_SCREEN
+        assert np.all((jordan[cleared] <= got.jordan[cleared]) & (got.jordan[cleared] <= UNIT_PAIR_SCREEN))
+        assert np.all(commutator[commuting][~kept] <= got.commutator[~kept])
+        assert same_bits(got.commutator[~kept], got.jordan[cleared])
+        # noisy maps clear nothing, and nor does any pair of unit 0, whose image holds the inf
+        assert np.any(cleared) == (noise == 0.0)
+        if inf_coefficient:
+            assert not np.any(cleared[(p == 0) | (q == 0)])
         assert inf_coefficient == (not np.all(np.isfinite(got.jordan)))
 
     def test_black_box_called_once_per_unit(self, rng):
@@ -341,6 +377,96 @@ class TestUnitPairPass:
         calls.clear()
         check_char_poly_preserving(fn, m.domain, samples=7)
         assert len(calls) == 2 + m.domain.dim + 7
+
+
+SCREEN_PARTS = [(1, 2), (1, 1, 1), (2, 3, 3), (4, 4, 4, 4), (16,), (1,) * 16]
+
+
+SCREEN_FAMILIES = {  # the screen's corpus: exact, noisy, spoiled and integral maps, and a remainder off the pivots
+    "cond 1": lambda parts, rng: jordan_map(parts, rng),
+    "cond 1e2": lambda parts, rng: jordan_map(parts, rng, cond=1e2, orientation=Orientation.ANTI_TRANSPOSE),
+    "cond 1e4": lambda parts, rng: jordan_map(parts, rng, cond=1e4),
+    "noise 1e-9": lambda parts, rng: jordan_map(parts, rng, noise=1e-9),
+    "noise 1e-6": lambda parts, rng: jordan_map(parts, rng, noise=1e-6),
+    **{
+        f"detection {name}": lambda parts, rng, name=name: detection_families(parts, Orientation.INNER)[name]
+        for name in ("noise", "rank_one", "scaled")
+    },
+    "shear": shear_jordan_map,
+    "off-pivot": lambda parts, rng: off_pivot_map(parts),
+}
+
+
+def off_pivot_map(parts):
+    """The identity map with 1e-13 E_{n-1,n-1} added to the image of E_00: a remainder
+    outside that image's pivot row and column, which only its rho can bound."""
+    alg = block_algebra(parts)
+    c = build_form_map(alg, JordanForm(Orientation.INNER, identity(alg.n))).coefficients.copy()
+    c[-1, 0] += 1e-13
+    return AlgebraMap(alg, c)
+
+
+class TestUnitPairScreen:
+    """The pairs ``_pair_bounds`` clears report a bound, never less than the
+    products give; everything else is multiplied out as before."""
+
+    @pytest.mark.parametrize("parts", SCREEN_PARTS)
+    @pytest.mark.parametrize("family", SCREEN_FAMILIES)
+    def test_bound_dominates_the_products(self, rng, parts, family):
+        m = SCREEN_FAMILIES[family](parts, rng)
+        cleared, commuting = screen_clears(m.domain, m.unit_images())
+        if not np.any(cleared):  # noisy and overflowing maps: every pair is multiplied out
+            return
+        got = unit_pair_residuals(m.domain, m.unit_images())
+        _, _, _, jordan, commutator = reference_gather_unit_pairs(m.domain, m.unit_images())
+        assert np.all(jordan[cleared] <= got.jordan[cleared])
+        assert np.all(commutator[cleared] <= got.commutator[cleared[commuting]])
+
+    @pytest.mark.parametrize("factor, clears", [(1e-40, 759), (1e40, 759), (1e-160, 0), (1e160, 0)])
+    def test_scaled_maps(self, rng, factor, clears):
+        # inside [1e-60, 1e60] a map clears as at unit scale; outside it products may underflow or
+        # overflow (at 1e-160 they underflow, and the bound alone would fall below 1,483 residuals)
+        m = jordan_map((2, 3, 3), rng, cond=1e2)
+        m = AlgebraMap(m.domain, m.coefficients * factor)
+        cleared, _ = screen_clears(m.domain, m.unit_images())
+        got = unit_pair_residuals(m.domain, m.unit_images())
+        jordan = reference_gather_unit_pairs(m.domain, m.unit_images())[3]
+        assert np.count_nonzero(cleared) == clears
+        assert same_bits(got.jordan[~cleared], jordan[~cleared]) and np.all(jordan[cleared] <= got.jordan[cleared])
+
+    def test_exact_map_clears_every_zero_target(self, rng):
+        m = jordan_map((4, 4, 4, 4), rng, cond=1e4)
+        cleared, _ = screen_clears(m.domain, m.unit_images())
+        assert np.count_nonzero(cleared) == 11624  # all but the 1,256 targeted of 12,880 pairs
+        assert np.max(unit_pair_residuals(m.domain, m.unit_images()).jordan) <= UNIT_PAIR_SCREEN
+
+    @pytest.mark.parametrize("parts", [(4, 4, 4, 4), (16,)])
+    @pytest.mark.parametrize("noise", [1e-9, 1e-3])
+    def test_noisy_map_clears_nothing(self, rng, parts, noise):
+        assert not np.any(screen_clears(block_algebra(parts), jordan_map(parts, rng, noise=noise).unit_images())[0])
+
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 3, 3), (4, 4, 4, 4), (1,) * 16])
+    def test_exact_zeros_stay_zero(self, parts):
+        alg = block_algebra(parts)
+        identity_map = build_form_map(alg, JordanForm(Orientation.INNER, identity(alg.n)))
+        projection = algebra_map_from_function(alg, lambda x: block_projection(alg, x))
+        for m in (identity_map, projection):
+            cleared, commuting = screen_clears(alg, m.unit_images())
+            assert np.count_nonzero(cleared) == np.count_nonzero(commuting) - alg.n  # all but the E_ii E_ii
+            units = m.unit_pairs
+            assert not np.any(units.jordan) and not np.any(units.commutator)
+            assert is_jordan(m).worst == 0.0
+            assert check_commutativity_preserving(m, pairs=0).worst == 0.0
+
+    def test_overflow_and_inf_do_not_warn(self, rng):
+        m = form_map((4, 4, 4, 4), rng)
+        c = np.array(m.coefficients)
+        c[0, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spoiled in (AlgebraMap(m.domain, m.coefficients * 1e300), AlgebraMap(m.domain, c)):
+                assert is_jordan(spoiled, samples=0).worst == np.inf
+                assert check_commutativity_preserving(spoiled, pairs=0).worst == np.inf
 
 
 class TestUnitPairCache:

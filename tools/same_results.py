@@ -1,4 +1,4 @@
-"""Hash four output corpora of blocktri, so two versions can be shown to give the same results.
+"""Hash the output corpora of blocktri, so two versions can be shown to give the same results.
 
     PYTHONPATH=src python3 tools/same_results.py
 
@@ -14,6 +14,9 @@ prints one sha256 per corpus for whichever ``blocktri`` is importable:
 - ``certify-verdicts``: only the verdict flags of those same calls
   (``is_jordan`` ok, the three ``full_report`` flags, multiplicity ok), so a
   change that moves worst values by design can show its verdicts did not move;
+- ``certify-no-worst``: every field and witness of those same calls but the
+  worst values (``worst``, ``worst_violation``), so such a change can show
+  that it moved nothing else;
 - ``canon``: every outcome of perfbench's ``canon`` op (``recover_form`` on
   the form map and on the perturbed map, ``diagonalize_in_algebra`` twice,
   ``schur`` and ``triangular_idempotent_form``) on inputs 0-3 at seeds 1-3,
@@ -137,6 +140,18 @@ def verdicts(outcome):
     )
 
 
+def without_worst(outcome):
+    """One certify outcome with its worst values dropped: each result as its other fields."""
+
+    def fields(result):
+        if isinstance(result, BaseException):
+            return result
+        named = result._asdict() if isinstance(result, tuple) else vars(result)  # a NamedTuple or a dataclass
+        return {name: value for name, value in named.items() if name not in ("worst", "worst_violation")}
+
+    return tuple(map(fields, outcome))
+
+
 def main() -> int:
     print(f"blocktri from {Path(blocktri.__file__).parent}", file=sys.stderr)
     wl_module = load_workloads()
@@ -146,6 +161,7 @@ def main() -> int:
         certify = list(op_corpus(wl_module, "certify", CERTIFY_OPS, workdir))
         print(f"certify {digest(certify)}")
         print(f"certify-verdicts {digest(map(verdicts, certify))}")
+        print(f"certify-no-worst {digest(map(without_worst, certify))}")
         print(f"canon {digest(op_corpus(wl_module, 'canon', CANON_OPS, workdir))}")
     return 0
 
