@@ -26,12 +26,13 @@ images (``unit_images``), run once per AlgebraMap, as ``unit_pairs``, and once
 per check of a black box (``_unit_pairs``): ``is_jordan`` reads every pair's
 Jordan residual, which catches a one-unit error its random squares miss, the
 commutativity checker the commuting pairs' commutators. The pass multiplies
-out only the pairs its rank-one screen (``_pair_bounds``) cannot clear: a
-cleared pair has a zero target and reports, as both its residuals, a bound
-of at most UNIT_PAIR_SCREEN = 1e-12 on what its products would give. That
-constant is below every default tol and 70x above any bound seen on an exact
-map, so exact maps skip about 90 % of the products, and a tol below it can
-only make a unit-pair verdict stricter. ``is_jordan`` draws
+out only the pairs its rank-one screen (``_pair_bounds``) cannot clear, in
+one loop over those pairs, PROBE_CHUNK at a time, each product bit for bit
+as with no screen. A cleared pair has a zero target and reports, as both its
+residuals, a bound of at most UNIT_PAIR_SCREEN = 1e-12 on what its products
+would give. That constant is below every default tol and 70x above any bound
+seen on an exact map, so exact maps skip about 90 % of the products, and a
+tol below it can only make a unit-pair verdict stricter. ``is_jordan`` draws
 its squares PROBE_CHUNK at a time in one generator call (``random_elements``),
 in the stream order of one draw at a time. Every sampled check feeds its
 residual stacks to ``verdict``, which keeps the worst residual and the first
@@ -316,13 +317,14 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     and its commutator, never less than the products would give, so the
     screen can make no verdict more lenient. Exact maps clear all their
     zero-target pairs (bounds up to 1.4e-14, cond(T) 1 to 1e4, n <= 16),
-    noisy maps none. For each unit p the image is multiplied by every
-    phi(E_q), q >= p, whose pair is not cleared, PROBE_CHUNK at a time; the
-    same products give the commutator (kept for commuting units) and the
-    symmetric-product residual against phi(E_p o E_q). Subtracting an exact
-    zero changes no modulus, so a chunk subtracts a target only from its
-    pairs whose target is nonzero. A pair that is multiplied has the bits it
-    would have with no screen.
+    noisy maps none. One loop runs over the pairs the screen leaves,
+    PROBE_CHUNK pairs at a time: a chunk gathers phi(E_p) and phi(E_q) and
+    multiplies them both ways, and the same products give the commutator
+    (kept for commuting units) and the symmetric-product residual against
+    phi(E_p o E_q). Subtracting an exact zero changes no modulus, so a chunk
+    subtracts a target only from its pairs whose target is nonzero. Each
+    product is one n x n gemm, so a pair that is multiplied has, bit for
+    bit, what it would have with no screen.
     """
     d, n = algebra.dim, algebra.n
     rows, cols = algebra.cell_rows, algebra.cell_cols
@@ -337,25 +339,17 @@ def unit_pair_residuals(algebra: BlockAlgebra, images: np.ndarray) -> UnitPairs:
     norms = frobenius(images)
     scale = np.maximum(1.0, norms[p] * norms[q])
     jordan = _pair_bounds(images, p, q) / scale
-    cleared = ~targeted & (jordan <= UNIT_PAIR_SCREEN)
     commutator = jordan.copy()
-    start = 0
-    for u in range(d):
-        row = slice(start, start + d - u)  # the pairs (u, q), q >= u; row views write through
-        start = row.stop
-        todo = np.flatnonzero(~cleared[row])
-        whole = todo.size == d - u  # nothing cleared: partners are sliced, as with no screen
-        for lo in range(0, todo.size, PROBE_CHUNK):
-            k = slice(lo, lo + PROBE_CHUNK) if whole else todo[lo : lo + PROBE_CHUNK]
-            others = images[u:][k]
-            ab = images[u] @ others
-            ba = others @ images[u]
-            sym = ab + ba
-            t = np.flatnonzero(targeted[row][k])
-            if t.size:
-                sym[t] -= padded[left[row][k][t]] + padded[right[row][k][t]]
-            jordan[row][k] = np.max(np.abs(sym).reshape(len(others), n * n), axis=1) / scale[row][k]
-            commutator[row][k] = frobenius(ab - ba) / scale[row][k]
+    todo = np.flatnonzero(targeted | ~(jordan <= UNIT_PAIR_SCREEN))  # the pairs the screen does not clear
+    for lo in range(0, todo.size, PROBE_CHUNK):
+        k = todo[lo : lo + PROBE_CHUNK]
+        a, b = images[p[k]], images[q[k]]
+        ab, ba = a @ b, b @ a
+        sym = ab + ba
+        t = targeted[k]  # subtracting an exact zero target changes no modulus
+        sym[t] -= padded[left[k[t]]] + padded[right[k[t]]]
+        jordan[k] = np.max(np.abs(sym).reshape(k.size, n * n), axis=1) / scale[k]
+        commutator[k] = frobenius(ab - ba) / scale[k]
     commuting = left == right  # E_p E_q = E_q E_p
     return UnitPairs(jordan, p[commuting], q[commuting], commutator[commuting])
 

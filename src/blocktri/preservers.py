@@ -83,14 +83,13 @@ def _probe_stacks(algebra: BlockAlgebra, samples: int, rng) -> Iterator[tuple[np
 
 def _check(stacks: Iterator[tuple[np.ndarray, np.ndarray]], images, residual, tol: float) -> CheckResult:
     """Map each probe stack A, yielded with what its source knows of it, and stream
-    ``residual(A, F(A), known)``; the first four violating probes are the witnesses. A
-    probe whose image is not finite is a violation with residual inf: the residual sees a zero image."""
+    ``residual(A, F(A), known)``; the first four violating probes are the witnesses. Non-finite
+    images are always masked: such a probe is a violation with residual inf, and the residual sees
+    a zero image in its place. The mask copies finite images unchanged, so their residuals keep their bits."""
 
     def residuals(a, known):
         fa = images(a)
         finite = np.isfinite(fa).all(axis=(1, 2))
-        if finite.all():
-            return residual(a, fa, known)
         return np.where(finite, residual(a, np.where(finite[:, None, None], fa, 0), known), np.inf)
 
     return verdict(((residuals(a, known), lambda i: a[i].copy()) for a, known in stacks), tol)

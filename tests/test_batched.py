@@ -214,6 +214,25 @@ def screen_clears(algebra, images):
     return zero_target & (bound <= UNIT_PAIR_SCREEN), commuting
 
 
+def assert_matches_full_gather(m):
+    """Assert that the pass over ``m``'s unit images gives the full gather's bits on every
+    pair its screen leaves, and a bound at most UNIT_PAIR_SCREEN, never below the full
+    gather's residual, on every pair it clears; return the pass, p, q and the cleared pairs."""
+    got = unit_pair_residuals(m.domain, m.unit_images())
+    p, q, commuting, jordan, commutator = reference_gather_unit_pairs(m.domain, m.unit_images())
+    cleared, _ = screen_clears(m.domain, m.unit_images())
+    assert same_bits(got.jordan[~cleared], jordan[~cleared])
+    # the commutativity checker's part is the reference's commuting slice
+    assert same_bits(got.p, p[commuting]) and same_bits(got.q, q[commuting])
+    kept = ~cleared[commuting]
+    assert same_bits(got.commutator[kept], commutator[commuting][kept])
+    # every pair that differs is cleared: a zero target, reference <= got <= UNIT_PAIR_SCREEN
+    assert np.all((jordan[cleared] <= got.jordan[cleared]) & (got.jordan[cleared] <= UNIT_PAIR_SCREEN))
+    assert np.all(commutator[commuting][~kept] <= got.commutator[~kept])
+    assert same_bits(got.commutator[~kept], got.jordan[cleared])
+    return got, p, q, cleared
+
+
 def same_witnesses(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -339,30 +358,30 @@ class TestUnitPairPass:
     @pytest.mark.parametrize("parts", [(1, 2), (2, 3, 3), (4, 4, 4, 4), (16,), (1,) * 16])
     @pytest.mark.parametrize("noise, inf_coefficient", [(0.0, False), (1e-3, False), (0.0, True)])
     def test_bit_identical_to_full_gather(self, rng, parts, noise, inf_coefficient):
-        # skipping the zero targets' gather and subtraction, whole chunks with
-        # no target, and the pairs the screen clears moves no bit of any other pair
+        # skipping the zero targets' gather and subtraction and the pairs the
+        # screen clears, and gathering the rest, moves no bit of any other pair
         m = form_map(parts, rng, noise=noise)
         if inf_coefficient:
             c = np.array(m.coefficients)
             c[0, 0] = np.inf
             m = AlgebraMap(m.domain, c)
-        got = unit_pair_residuals(m.domain, m.unit_images())
-        p, q, commuting, jordan, commutator = reference_gather_unit_pairs(m.domain, m.unit_images())
-        cleared, _ = screen_clears(m.domain, m.unit_images())
-        assert same_bits(got.jordan[~cleared], jordan[~cleared])
-        # the commutativity checker's part is the reference's commuting slice
-        assert same_bits(got.p, p[commuting]) and same_bits(got.q, q[commuting])
-        kept = ~cleared[commuting]
-        assert same_bits(got.commutator[kept], commutator[commuting][kept])
-        # every pair that differs is cleared: a zero target, reference <= got <= UNIT_PAIR_SCREEN
-        assert np.all((jordan[cleared] <= got.jordan[cleared]) & (got.jordan[cleared] <= UNIT_PAIR_SCREEN))
-        assert np.all(commutator[commuting][~kept] <= got.commutator[~kept])
-        assert same_bits(got.commutator[~kept], got.jordan[cleared])
+        got, p, q, cleared = assert_matches_full_gather(m)
         # noisy maps clear nothing, and nor does any pair of unit 0, whose image holds the inf
         assert np.any(cleared) == (noise == 0.0)
         if inf_coefficient:
             assert not np.any(cleared[(p == 0) | (q == 0)])
         assert inf_coefficient == (not np.all(np.isfinite(got.jordan)))
+
+    @pytest.mark.parametrize("parts", [(2, 3, 3), (4, 4, 4, 4), (16,), (1,) * 16])
+    def test_bit_identical_to_full_gather_on_mixed_rows(self, parts):
+        # the screen clears every zero-target pair but those of the spoiled unit, so rows
+        # (u, q), q >= u, mix cleared and multiplied pairs, and the loop's chunks span rows
+        m = detection_families(parts, Orientation.INNER)["rank_one"]
+        _, p, q, cleared = assert_matches_full_gather(m)
+        spoiled = m.domain.dim // 2
+        assert not np.any(cleared[(p == spoiled) | (q == spoiled)])
+        mixed = [u for u in range(m.domain.dim) if 0 < np.count_nonzero(cleared[p == u]) < np.count_nonzero(p == u)]
+        assert len(mixed) > 1
 
     def test_black_box_called_once_per_unit(self, rng):
         m = form_map((2, 3, 3), rng)
@@ -722,6 +741,22 @@ class TestNonFinite:
         assert [(r.ok, r.worst) for r in results] == [(False, np.inf)] * 4
         assert not (report.spectrum_preserving or report.spectrum_shrinking or report.commutativity_preserving)
         assert report.worst_violation == np.inf
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["per-matrix", "stack"])
+    def test_mixed_stack_witnesses(self, stacked):
+        # the identity map but for a NaN image of I: in a stack of finite and non-finite
+        # images, the probe whose image is masked is the one violation and the one witness
+        alg = block_algebra((2, 3, 3))
+        eye = identity(alg.n)
+
+        def image(x):
+            return np.full_like(x, np.nan) if np.array_equal(x, eye) else x
+
+        black_box = maps._StackEvaluator(lambda xs: np.array([image(x) for x in xs])) if stacked else image
+        for check in (check_char_poly_preserving, check_spectrum_shrinking):
+            result = check(black_box, alg)
+            assert not result.ok and result.worst == np.inf
+            same_witnesses(result.witnesses, [eye])
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["per-matrix", "stack"])
     @pytest.mark.parametrize("fn", [lambda x: 1e200 * x, lambda x: (x * 1e300) * 1e300], ids=["products", "images"])

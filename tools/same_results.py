@@ -17,6 +17,10 @@ prints one sha256 per corpus for whichever ``blocktri`` is importable:
 - ``certify-no-worst``: every field and witness of those same calls but the
   worst values (``worst``, ``worst_violation``), so such a change can show
   that it moved nothing else;
+- ``unit-pairs``: every field of the ``unit_pairs`` (``jordan``, ``p``, ``q``,
+  ``commutator``) of each input map of that ``certify`` corpus, so a change to
+  the unit-pair pass that moves any pair's bits shows, not only the worst
+  pair's; the maps cache their pass, so this adds none;
 - ``canon``: every outcome of perfbench's ``canon`` op (``recover_form`` on
   the form map and on the perturbed map, ``diagonalize_in_algebra`` twice,
   ``schur`` and ``triangular_idempotent_form``) on inputs 0-3 at seeds 1-3,
@@ -117,13 +121,14 @@ def gallery_corpus():
                 yield canonical_json(blocktri.run_gallery_suite(name, budget=budget, seed=seed))
 
 
-def op_corpus(wl_module, name: str, ops, workdir: str):
-    """The outcomes of workload ``name``'s op on inputs ``ops``, seeds 1-3, FULL and SMOKE sizes."""
+def op_runs(wl_module, name: str, ops, workdir: str):
+    """(input, outcome) of workload ``name``'s op on inputs ``ops``, seeds 1-3, FULL and SMOKE sizes."""
     for size in (wl_module.FULL, wl_module.SMOKE):
         for seed in SEEDS:
             wl = wl_module.make_workload(name, blocktri, seed, size, workdir)
             for k in ops:
-                yield wl.run(wl.make_input(k))
+                inp = wl.make_input(k)
+                yield inp, wl.run(inp)
 
 
 def verdicts(outcome):
@@ -158,11 +163,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same-results-") as workdir:
         print(f"cli {digest(cli_corpus(wl_module, workdir))}")
         print(f"gallery {digest(gallery_corpus())}")
-        certify = list(op_corpus(wl_module, "certify", CERTIFY_OPS, workdir))
+        inputs, certify = zip(*op_runs(wl_module, "certify", CERTIFY_OPS, workdir))
         print(f"certify {digest(certify)}")
         print(f"certify-verdicts {digest(map(verdicts, certify))}")
         print(f"certify-no-worst {digest(map(without_worst, certify))}")
-        print(f"canon {digest(op_corpus(wl_module, 'canon', CANON_OPS, workdir))}")
+        print(f"unit-pairs {digest(m.unit_pairs for _, m, _ in inputs)}")
+        print(f"canon {digest(out for _, out in op_runs(wl_module, 'canon', CANON_OPS, workdir))}")
     return 0
 
 
