@@ -104,23 +104,23 @@ def block_algebra(spec) -> BlockAlgebra:
     )
 
 
-def membership(algebra: BlockAlgebra, a: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff every off-support entry of ``a`` has magnitude <= tol."""
+def _n_by_n(algebra: BlockAlgebra, a: np.ndarray) -> np.ndarray:
+    """``a`` as a matrix, or MismatchedDimension unless it is n x n."""
     a = as_matrix(a)
     if a.shape != (algebra.n, algebra.n):
         raise MismatchedDimension(f"expected {algebra.n} x {algebra.n}, got {a.shape}")
-    off = a[~algebra.support]
-    if off.size == 0:
-        return True
-    return float(np.max(np.abs(off))) <= tol
+    return a
+
+
+def membership(algebra: BlockAlgebra, a: np.ndarray, tol: float = 0.0) -> bool:
+    """True iff every off-support entry of ``a`` has magnitude <= tol (vacuously, if it has none)."""
+    off = _n_by_n(algebra, a)[~algebra.support]
+    return off.size == 0 or float(np.max(np.abs(off))) <= tol
 
 
 def project(algebra: BlockAlgebra, a: np.ndarray) -> np.ndarray:
     """Zero all off-support entries of ``a`` exactly."""
-    a = as_matrix(a)
-    if a.shape != (algebra.n, algebra.n):
-        raise MismatchedDimension(f"expected {algebra.n} x {algebra.n}, got {a.shape}")
-    out = a.copy()
+    out = _n_by_n(algebra, a).copy()
     out[~algebra.support] = 0.0
     return out
 

@@ -52,9 +52,9 @@ _EXITS = {  # main's one mapping from an error, by its exact type, to an exit co
 }
 
 # Largest --budget, the number of random probes each check of verify and
-# gallery draws. It bounds a run: at the cap, verify on a d = 160 map takes
-# 7 to 8 s and a gallery suite up to about 15 s (gallery compares
-# budget^2 / 2 pairs of images; 2-core x86, CPython 3.11, one BLAS thread).
+# gallery draws. It bounds a run: at the cap, verify on a d = 160 map took
+# 4.9 s and a gallery suite up to 9.1 s (gallery compares budget^2 / 2 pairs
+# of images; medians of 3 runs, 2-core x86, CPython 3.11, one BLAS thread).
 MAX_BUDGET = 10_000
 
 

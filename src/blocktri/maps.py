@@ -14,17 +14,19 @@ map: recovery certifies the first PROBE_CHUNK units in cell order and the rest
 only once those pass. Coefficients are stored C-ordered, so a residual has
 the same bits whatever layout the map was built from.
 
-Probes are evaluated as stacks, behind one boundary (``_evaluator``): an
+Probes are evaluated as stacks, behind one boundary (``_evaluator``), which
+first rejects a negative probe count of its caller (ValueError): an
 AlgebraMap maps a (k, n, n) stack with one unchecked product, as every probe
 is built in its domain, and each image of a black box, which comes from
 outside, is checked for shape: a ``_StackEvaluator`` (every gallery map) maps
 a stack per call, any other box a matrix. ``is_jordan`` and every checker take
 either: an AlgebraMap named with another ``algebra`` raises WrongAlgebra, a
 black box with none ValueError. ``apply_batch`` and ``apply`` validate their
-input. ``unit_pair_residuals`` is one pass over the products of all unit
-images (``unit_images``), run once per AlgebraMap, as ``unit_pairs``, and once
-per check of a black box (``_unit_pairs``): ``is_jordan`` reads every pair's
-Jordan residual, which catches a one-unit error its random squares miss, the
+input, for matrices from outside. ``unit_pair_residuals`` is one pass over
+the products of all unit images (``unit_images``), run once per AlgebraMap,
+as ``unit_pairs``, and once per check of a black box (``_unit_pairs``, read
+eagerly under verdict's error state): ``is_jordan`` reads every pair's Jordan
+residual, which catches a one-unit error its random squares miss, the
 commutativity checker the commuting pairs' commutators. The pass multiplies
 out only the pairs its rank-one screen (``_pair_bounds``) cannot clear, in
 one loop over those pairs, PROBE_CHUNK at a time, each product bit for bit
@@ -36,7 +38,7 @@ tol below it can only make a unit-pair verdict stricter. ``is_jordan`` draws
 its squares PROBE_CHUNK at a time in one generator call (``random_elements``),
 in the stream order of one draw at a time. Every sampled check feeds its
 residual stacks to ``verdict``, which keeps the worst residual and the first
-four violations. A negative probe count raises ValueError before any draw.
+four violations.
 """
 
 from __future__ import annotations
@@ -125,11 +127,13 @@ def _nonnegative(**counts: int) -> None:
             raise ValueError(f"{name} must be non-negative, got {count}")
 
 
-def _evaluator(m, algebra=None) -> tuple[BlockAlgebra, Callable[[np.ndarray], np.ndarray]]:
+def _evaluator(m, algebra=None, **counts: int) -> tuple[BlockAlgebra, Callable[[np.ndarray], np.ndarray]]:
     """The domain and an evaluator of (k, n, n) probe stacks: for an AlgebraMap one
     unchecked product, since probes are built in its domain (an ``algebra`` other
     than that domain raises WrongAlgebra); for a black box its images, each checked to have
-    its probe's shape (MismatchedDimension), from one call per stack for a _StackEvaluator."""
+    its probe's shape (MismatchedDimension), from one call per stack for a _StackEvaluator.
+    The caller's probe ``counts`` are checked first (``_nonnegative``), before the map is read."""
+    _nonnegative(**counts)
     if isinstance(m, AlgebraMap):
         if algebra is not None and block_algebra(algebra) != m.domain:
             raise WrongAlgebra(f"the map's domain is {m.domain.parts}, not {block_algebra(algebra).parts}")
@@ -146,8 +150,9 @@ def _evaluator(m, algebra=None) -> tuple[BlockAlgebra, Callable[[np.ndarray], np
     return block_algebra(algebra), images
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _unit_pairs(m, algebra: BlockAlgebra, images) -> UnitPairs:
-    """An AlgebraMap's cached ``unit_pairs``, else one pass over a black box's unit images."""
+    """An AlgebraMap's cached ``unit_pairs``, else a pass over a black box's unit images under verdict's error state."""
     if isinstance(m, AlgebraMap):
         return m.unit_pairs
     return unit_pair_residuals(algebra, images(matrix_units(algebra)))
@@ -225,8 +230,8 @@ def verdict(batches: Iterable[tuple[np.ndarray, Callable[[int], object] | None]]
     (residuals, witness) batches; ``witness(i)``, if given, names the i-th.
 
     A residual violates unless it is <= tol, so NaN is a violation; a
-    non-finite residual makes the worst inf. Batches are consumed lazily,
-    so residuals computed as they are drawn run under this error state.
+    non-finite residual makes the worst inf. Residuals computed as batches are
+    drawn run under this error state, as ``_unit_pairs`` runs under its own.
     """
     ok, worst, witnesses = True, 0.0, []
     for res, witness in batches:
@@ -364,19 +369,16 @@ def is_jordan(m, algebra=None, *, samples: int = 40, seed=0, tol: float = 1e-8) 
     20 of which recovery rejects; the unit pairs reject all 90, even at 2e-8. A unit pair the
     pass's screen clears reads its bound, at most UNIT_PAIR_SCREEN = 1e-12 and never below its
     computed residual, so a ``tol`` under 1e-12 can only fail more pairs."""
-    _nonnegative(samples=samples)
-    alg, images = _evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra, samples=samples)
     rng = np.random.default_rng(seed)
+    jordan = _unit_pairs(m, alg, images).jordan
 
     def squares(xs):
         fx = images(xs)
         return frobenius(images(xs @ xs) - fx @ fx) / np.maximum(1.0, frobenius(xs) ** 2)
 
-    def unit_batch():  # lazy, so a black box's unit images are mapped under verdict's error state
-        yield _unit_pairs(m, alg, images).jordan, None
-
     stacks = (random_elements(alg, rng, min(PROBE_CHUNK, samples - lo)) for lo in range(0, samples, PROBE_CHUNK))
-    return verdict(itertools.chain(unit_batch(), ((squares(xs), None) for xs in stacks)), tol)
+    return verdict(itertools.chain([(jordan, None)], ((squares(xs), None) for xs in stacks)), tol)
 
 
 def _unit_gaps(m: AlgebraMap, orientation: Orientation, t, tinv, cells: slice = slice(None)) -> np.ndarray:

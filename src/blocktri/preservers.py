@@ -18,12 +18,14 @@ with the stack size. Images come from ``maps._evaluator``: a black-box
 evaluator is called once per probe or, if it maps whole stacks (a
 ``maps._StackEvaluator``, as the gallery's maps are), once per stack, and each
 image must be n x n. The commuting unit pairs come from ``maps._unit_pairs``,
-as ``is_jordan``'s do. The char polys of the fixed probes 0, I and the matrix
-units, and the eigenvalues of a multiplicity sample, with its collision
-exact, are known, so only their images' are computed. A probe whose image or
-residual is not finite is a violation, and the worst is inf. A negative
-``samples``, ``pairs`` or ``budget`` raises ValueError, and an AlgebraMap
-given with a foreign algebra WrongAlgebra.
+as ``is_jordan``'s do, before the first draw. The char polys of the fixed
+probes 0, I and the matrix units, and the eigenvalues of a multiplicity
+sample, with its collision exact, are known, so only their images' are
+computed. A probe whose image or residual is not finite is a violation, and
+the worst is inf. A negative ``samples`` or ``pairs`` raises ValueError from
+``maps._evaluator``, which each checker hands its count, a negative
+``budget`` from ``full_report``, and an AlgebraMap given with a foreign
+algebra WrongAlgebra.
 """
 
 from __future__ import annotations
@@ -122,8 +124,7 @@ def check_char_poly_preserving(
     only the random probes' are computed. Every probe is still evaluated, in
     the same stacks.
     """
-    _nonnegative(samples=samples)
-    alg, images = _evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra, samples=samples)
     rng = np.random.default_rng(seed)
     return _check(_probe_stacks(alg, samples, rng), images, char_poly_gap, tol)
 
@@ -132,8 +133,7 @@ def check_spectrum_shrinking(
     m, algebra=None, *, samples: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
     """Every eigenvalue of the image must be near some eigenvalue of the input."""
-    _nonnegative(samples=samples)
-    alg, images = _evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra, samples=samples)
     rng = np.random.default_rng(seed)
 
     def residual(a, fa, _):
@@ -154,18 +154,13 @@ def check_commutativity_preserving(
     map's ``unit_pairs``, or of one pass over a black box's unit images, each
     evaluated once), then ``pairs`` random commuting pairs.
     """
-    _nonnegative(pairs=pairs)
-    alg, images = _evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra, pairs=pairs)
     rng = np.random.default_rng(seed)
-    units = matrix_units(alg)
-
-    def unit_batch():
-        unit_pairs = _unit_pairs(m, alg, images)
-        yield unit_pairs.commutator, lambda i: (units[unit_pairs.p[i]], units[unit_pairs.q[i]])
-
+    units, unit_pairs = matrix_units(alg), _unit_pairs(m, alg, images)
+    unit_commutators = (unit_pairs.commutator, lambda i: (units[unit_pairs.p[i]], units[unit_pairs.q[i]]))
     drawn = (random_commuting_pairs(alg, rng, min(PROBE_CHUNK, pairs - lo)) for lo in range(0, pairs, PROBE_CHUNK))
     batches = ((commutator_gap(images(ps), images(qs)), lambda i: (ps[i].copy(), qs[i].copy())) for ps, qs in drawn)
-    return verdict(itertools.chain(unit_batch(), batches), tol)
+    return verdict(itertools.chain([unit_commutators], batches), tol)
 
 
 def _multiset_match(lam_a: np.ndarray, lam_b: np.ndarray) -> np.ndarray:
@@ -226,8 +221,7 @@ def check_multiplicity_preserving(
     collision is exact; only the images' eigenvalues are computed. Multisets
     are compared with an absolute clustering tolerance of 1e-6.
     """
-    _nonnegative(samples=samples)
-    alg, images = _evaluator(m, algebra)
+    alg, images = _evaluator(m, algebra, samples=samples)
     rng = np.random.default_rng(seed)
     return _check(
         _degenerate_samples(alg, samples, rng),

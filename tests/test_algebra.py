@@ -165,6 +165,8 @@ class TestMembershipProjection:
         noisy[1, 0] = 1e-12
         assert not membership(t2, noisy, tol=0.0)
         assert membership(t2, noisy, tol=1e-10)
+        # no off-support cell to violate any tol, even a negative one
+        assert membership(block_algebra((3,)), unit(3, 1, 0), tol=-1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(MismatchedDimension):

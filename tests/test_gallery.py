@@ -350,7 +350,13 @@ class TestGallerySuites:
     @pytest.mark.parametrize("transposed", [False, True], ids=["inner", "transpose"])
     def test_jordan_maps_satisfy_everything(self, monkeypatch, transposed, parts, budget):
         # the paper's positive direction: X -> T X T^-1 and X -> T X^t T^-1 keep all
-        # four hypotheses, are linear Jordan maps, and recovery accepts them, at any n
+        # four hypotheses, are linear Jordan maps, and recovery accepts them, at any n;
+        # the suite's own draws are members, so the recovered form maps them unvalidated
+        def refuse(m, xs):
+            raise AssertionError("apply_batch called on the suite's own draws")
+
+        monkeypatch.setattr("blocktri.maps.apply_batch", refuse)
+        monkeypatch.setattr("blocktri.gallery.apply_batch", refuse, raising=False)
         n = sum(parts)
         t = np.eye(n) + 0.3 * gaussian(np.random.default_rng(7), n)
         t_inv = np.linalg.inv(t)
