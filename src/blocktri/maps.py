@@ -88,17 +88,18 @@ class JordanForm:
 class AlgebraMap:
     """A linear map from a block algebra into M_n, in cell-basis coordinates:
     ``coefficients`` has shape (n^2, dim), or MismatchedDimension is raised. It is
-    a read-only C-ordered copy, so the cached ``unit_pairs`` stay valid and a
-    residual summed over the columns does not depend on the caller's layout."""
+    a read-only C-ordered complex128 copy, so the cached ``unit_pairs`` stay valid,
+    a residual summed over the columns does not depend on the caller's layout, and
+    real, integer or boolean coefficients are read and written as every other matrix is."""
 
     domain: BlockAlgebra
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coefficients = np.array(self.coefficients, order="C")
         expected = (self.domain.n**2, self.domain.dim)
-        if coefficients.shape != expected:
-            raise MismatchedDimension(f"coefficients have shape {coefficients.shape}, expected {expected}")
+        if np.shape(self.coefficients) != expected:
+            raise MismatchedDimension(f"coefficients have shape {np.shape(self.coefficients)}, expected {expected}")
+        coefficients = np.array(self.coefficients, dtype=np.complex128, order="C")
         coefficients.setflags(write=False)
         object.__setattr__(self, "coefficients", coefficients)
 

@@ -7,9 +7,12 @@ is tested through characteristic-polynomial coefficients, which sidesteps
 matching noisy eigenvalue lists.
 
 Every check is one stream of probe stacks, PROBE_CHUNK probes each but the
-last, fed to ``maps.verdict``. A probe source yields whole stacks, each with
-what it knows of its members, and draws each stack's random members from the
-seed only when that stack is due, with one generator call
+last, fed to ``maps.verdict``. The three spectrum checks share one runner,
+``_check``: each names its probe source (``_probe_stacks`` or
+``_degenerate_samples``) and its residual, and ``_check`` opens the map and
+seeds the source. A probe source yields whole stacks, each with what it knows
+of its members, and draws each stack's random members from the seed only when
+that stack is due, with one generator call
 (``random_elements``, ``random_commuting_pairs``; the stream is the same as
 one draw at a time). The multiplicity samples are drawn one at a time but
 built a stack at a time. Stack boundaries sit at every multiple of
@@ -23,9 +26,9 @@ probes 0, I and the matrix units, and the eigenvalues of a multiplicity
 sample, with its collision exact, are known, so only their images' are
 computed. A probe whose image or residual is not finite is a violation, and
 the worst is inf. A negative ``samples`` or ``pairs`` raises ValueError from
-``maps._evaluator``, which each checker hands its count, a negative
-``budget`` from ``full_report``, and an AlgebraMap given with a foreign
-algebra WrongAlgebra.
+``maps._evaluator``, which ``_check`` and the commutativity check hand their
+count before anything is drawn, a negative ``budget`` from ``full_report``,
+and an AlgebraMap given with a foreign algebra WrongAlgebra.
 """
 
 from __future__ import annotations
@@ -83,11 +86,15 @@ def _probe_stacks(algebra: BlockAlgebra, samples: int, rng) -> Iterator[tuple[np
         yield stack, polys[lo : lo + PROBE_CHUNK]
 
 
-def _check(stacks: Iterator[tuple[np.ndarray, np.ndarray]], images, residual, tol: float) -> CheckResult:
-    """Map each probe stack A, yielded with what its source knows of it, and stream
-    ``residual(A, F(A), known)``; the first four violating probes are the witnesses. Non-finite
-    images are always masked: such a probe is a violation with residual inf, and the residual sees
-    a zero image in its place. The mask copies finite images unchanged, so their residuals keep their bits."""
+def _check(m, algebra, samples: int, seed, source, residual, tol: float) -> CheckResult:
+    """Open the map (``_evaluator``, which checks ``samples`` and the algebra first), then
+    map each probe stack A of ``source(alg, samples, rng)``, yielded with what the source
+    knows of it, and stream ``residual(A, F(A), known)``; the first four violating probes
+    are the witnesses. Non-finite images are always masked: such a probe is a violation
+    with residual inf, and the residual sees a zero image in its place. The mask copies
+    finite images unchanged, so their residuals keep their bits."""
+    alg, images = _evaluator(m, algebra, samples=samples)
+    stacks = source(alg, samples, np.random.default_rng(seed))
 
     def residuals(a, known):
         fa = images(a)
@@ -124,17 +131,13 @@ def check_char_poly_preserving(
     only the random probes' are computed. Every probe is still evaluated, in
     the same stacks.
     """
-    alg, images = _evaluator(m, algebra, samples=samples)
-    rng = np.random.default_rng(seed)
-    return _check(_probe_stacks(alg, samples, rng), images, char_poly_gap, tol)
+    return _check(m, algebra, samples, seed, _probe_stacks, char_poly_gap, tol)
 
 
 def check_spectrum_shrinking(
     m, algebra=None, *, samples: int = 100, seed=0, tol: float = 1e-8
 ) -> CheckResult:
     """Every eigenvalue of the image must be near some eigenvalue of the input."""
-    alg, images = _evaluator(m, algebra, samples=samples)
-    rng = np.random.default_rng(seed)
 
     def residual(a, fa, _):
         lam_in = eigenvalues(a)
@@ -142,7 +145,7 @@ def check_spectrum_shrinking(
         gap = np.max(np.min(np.abs(lam_out[:, :, None] - lam_in[:, None, :]), axis=2), axis=1)
         return gap / np.maximum(1.0, frobenius(a))
 
-    return _check(_probe_stacks(alg, samples, rng), images, residual, tol)
+    return _check(m, algebra, samples, seed, _probe_stacks, residual, tol)
 
 
 def check_commutativity_preserving(
@@ -221,14 +224,11 @@ def check_multiplicity_preserving(
     collision is exact; only the images' eigenvalues are computed. Multisets
     are compared with an absolute clustering tolerance of 1e-6.
     """
-    alg, images = _evaluator(m, algebra, samples=samples)
-    rng = np.random.default_rng(seed)
-    return _check(
-        _degenerate_samples(alg, samples, rng),
-        images,
-        lambda a, fa, spectra: _multiset_match(spectra, eigenvalues(fa)),
-        MULTIPLICITY_CLUSTER_TOL,
-    )
+
+    def residual(a, fa, spectra):
+        return _multiset_match(spectra, eigenvalues(fa))
+
+    return _check(m, algebra, samples, seed, _degenerate_samples, residual, MULTIPLICITY_CLUSTER_TOL)
 
 
 def full_report(m, algebra=None, *, budget: int = 100, seed=0, tol: float = 1e-8) -> PreserverReport:

@@ -23,6 +23,7 @@ from blocktri import (
     block_projection,
     build_form_map,
     form_residual,
+    full_report,
     inverse,
     is_jordan,
     random_element,
@@ -85,6 +86,20 @@ class TestAlgebraMapShape:
         # (1,2) has n = 3 and dim 7: the coefficients must be 9 x 7
         with pytest.raises(MismatchedDimension, match=r"expected \(9, 7\)"):
             AlgebraMap(block_algebra((1, 2)), np.zeros(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.bool_])
+    def test_real_coefficients_stored_as_complex(self, tmp_path, dtype):
+        # the identity map's coefficients are 0 and 1, exact in every dtype
+        exact = identity_map((2, 1))
+        m = AlgebraMap(exact.domain, exact.coefficients.real.astype(dtype))
+        assert m.coefficients.dtype == np.complex128 and same_bits(m.coefficients, exact.coefficients)
+        assert is_jordan(m) == is_jordan(exact)
+        assert full_report(m) == full_report(exact)
+        text = canonical_json(map_to_document(m))
+        assert text == canonical_json(map_to_document(exact))
+        path = tmp_path / "map.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["recover", str(path)]) == 0
 
 
 # Each builds a fresh record around fresh arrays, equal from call to call.
